@@ -34,6 +34,7 @@ from .functionals import (
     functional_from_config,
 )
 from .measure import (
+    MAX_LEVEL,
     MeasureError,
     SampleFormatError,
     dyadic_quantize,
@@ -109,8 +110,9 @@ def _parse_levels(raw: Any) -> tuple[int, int]:
             raise ConfigError(f"levels must be integers, got {raw!r}")
     else:
         raise ConfigError(f"levels must be `a..b` or [a, b], got {raw!r}")
-    if a < 0 or b < a:
-        raise ConfigError(f"levels must satisfy 0 <= a <= b, got {a}..{b}")
+    if a < 0 or b < a or b > MAX_LEVEL:
+        raise ConfigError(
+            f"levels must satisfy 0 <= a <= b <= {MAX_LEVEL}, got {a}..{b}")
     return int(a), int(b)
 
 
@@ -171,8 +173,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if level is not None:
         if isinstance(level, bool) or not isinstance(level, int):
             raise ConfigError(f"level must be an integer, got {level!r}")
-        if level < 0:
-            raise ConfigError(f"level must be nonnegative, got {level}")
+        if not 0 <= level <= MAX_LEVEL:
+            raise ConfigError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
 
     levels_raw = pick(args.levels, "levels")
     levels = _parse_levels(levels_raw) if levels_raw is not None else None
@@ -226,9 +228,20 @@ def _report_path(csv_path: str) -> str:
     return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".report.json"
 
 
+def _finite_or_null(obj: Any) -> Any:
+    """Reports are strict JSON: non-finite numbers are written as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_finite_or_null(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -28,7 +28,7 @@ track particles instead of measures get this wrong.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -131,17 +131,11 @@ class SchedulePolicy:
     mode: str | None = None
 
     def for_level(self, level: QuantizationLevel | int) -> StepSchedule:
-        n = as_level(level).n
-        return StepSchedule(
-            eps0=self.eps0 if self.eps0 is not None else 2.0 ** -n / 8.0,
-            ratio=self.ratio if self.ratio is not None else 0.5,
-            count=self.count if self.count is not None else 4,
-            mode=self.mode if self.mode is not None else "central",
-        )
+        overrides = {k: v for k, v in self.to_dict().items() if v is not None}
+        return replace(StepSchedule.for_level(level), **overrides)
 
     def to_dict(self) -> dict:
-        return {"eps0": self.eps0, "ratio": self.ratio,
-                "count": self.count, "mode": self.mode}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -243,6 +237,58 @@ def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
     return make_measure(atoms, mu.weights)
 
 
+class _ShiftProbes:
+    """f at one-atom shifts of ``mu``, bit for bit as ``f(_shifted(mu, i, step))``.
+
+    Canonical weights depend only on the weights, and a shifted atom that
+    stays finite and strictly between its neighbours needs no sorting or
+    merging.  Such a probe is therefore the canonical form of ``mu``,
+    computed once, with one atom replaced, or the functional's incremental
+    ``shift_evaluator`` applied to that form.  Every other shift goes through
+    ``make_measure``, which keeps the merge-on-coincidence semantics.
+    """
+
+    def __init__(self, f, mu: DiscreteMeasure):
+        self.f = f
+        self.mu = mu
+        canon = make_measure(mu.atoms, mu.weights)
+        # Canonicalization drops a weight only if it underflows to zero;
+        # atom indices then no longer line up.
+        self.canon = canon if canon.n_atoms == mu.n_atoms else None
+        self._atoms = canon.atoms.tolist()
+        factory = getattr(f, "shift_evaluator", None)
+        self.shifted_value = (factory(canon) if factory is not None
+                              and self.canon is not None else None)
+
+    def _fast_position(self, i: int, step: float) -> float | None:
+        """The shifted atom's position when it stays strictly inside its gap."""
+        if self.canon is None:
+            return None
+        atoms = self._atoms
+        y = atoms[i] + step + 0.0
+        above_left = i == 0 or atoms[i - 1] < y
+        below_right = i + 1 == len(atoms) or y < atoms[i + 1]
+        return y if math.isfinite(y) and above_left and below_right else None
+
+    def measure(self, i: int, step: float) -> DiscreteMeasure:
+        y = self._fast_position(i, step)
+        if y is None:
+            return _shifted(self.mu, i, step)
+        atoms = np.array(self.canon.atoms)
+        atoms[i] = y
+        return DiscreteMeasure(atoms, self.canon.weights)
+
+    def value(self, i: int, step: float) -> float:
+        value = None
+        if self.shifted_value is not None:
+            y = self._fast_position(i, step)
+            if y is not None:
+                value = self.shifted_value(i, y)
+        if value is None:
+            value = self.f(self.measure(i, step))
+        return _finite(value, f"atom {i} shifted by {step!r}")
+
+
 def _mass_moved(mu: DiscreteMeasure, i: int, frac: float, eps: float) -> DiscreteMeasure:
     if frac == 1.0:
         return _shifted(mu, i, eps)
@@ -255,12 +301,16 @@ def _mass_moved(mu: DiscreteMeasure, i: int, frac: float, eps: float) -> Discret
     return make_measure(atoms, weights)
 
 
-def _probe(f: Callable[[DiscreteMeasure], float], mu: DiscreteMeasure,
-           context: str) -> float:
-    value = float(f(mu))
+def _finite(value: float, context: str) -> float:
+    value = float(value)
     if not math.isfinite(value):
         raise ProbeFailureError(f"functional returned {value!r} at {context}")
     return value
+
+
+def _probe(f: Callable[[DiscreteMeasure], float], mu: DiscreteMeasure,
+           context: str) -> float:
+    return _finite(f(mu), context)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +343,18 @@ def _extrapolate(quotients, schedule: StepSchedule) -> tuple[float, float]:
 
 def atom_shift_quotients(f, mu: DiscreteMeasure, i: int,
                          schedule: StepSchedule | None = None,
-                         base_value: float | None = None) -> np.ndarray:
+                         base_value: float | None = None,
+                         *, _probes: _ShiftProbes | None = None) -> np.ndarray:
     """Raw difference quotients at each schedule step, before extrapolation.
 
     In one_sided mode this is the literal Dirac-shift quotient
     [f(mu shifted) - f(mu)] / (eps * p_i) per step -- the fidelity surface
-    the tests pin against hand-derived expansions.
+    the tests pin against hand-derived expansions.  ``_probes`` lets a
+    caller probing many atoms of one measure share its probe state.
     """
     schedule = schedule if schedule is not None else StepSchedule()
     i = _check_index(mu, i)
+    probes = _probes if _probes is not None else _ShiftProbes(f, mu)
     x = float(mu.atoms[i])
     p = float(mu.weights[i])
     steps = schedule.steps(at=x)
@@ -310,19 +363,20 @@ def atom_shift_quotients(f, mu: DiscreteMeasure, i: int,
         base = (_probe(f, mu, "the unperturbed measure")
                 if base_value is None else float(base_value))
         for k, eps in enumerate(steps):
-            shifted = _probe(f, _shifted(mu, i, eps), f"atom {i} shifted by {eps!r}")
-            quots[k] = (shifted - base) / (eps * p)
+            quots[k] = (probes.value(i, eps) - base) / (eps * p)
     else:
         for k, eps in enumerate(steps):
-            plus = _probe(f, _shifted(mu, i, eps), f"atom {i} shifted by {eps!r}")
-            minus = _probe(f, _shifted(mu, i, -eps), f"atom {i} shifted by {-eps!r}")
+            plus = probes.value(i, eps)
+            minus = probes.value(i, -eps)
             quots[k] = (plus - minus) / (2.0 * eps * p)
     return quots
 
 
 def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
                              schedule: StepSchedule | None = None,
-                             base_value: float | None = None) -> tuple[float, float]:
+                             base_value: float | None = None,
+                             *, _probes: _ShiftProbes | None = None
+                             ) -> tuple[float, float]:
     """Derivative of the functional at atom i of ``mu``.
 
     Extrapolates the atom-shift quotients over the step schedule.
@@ -351,7 +405,8 @@ def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
         When the functional returns a non-finite value at any probe.
     """
     schedule = schedule if schedule is not None else StepSchedule()
-    quots = atom_shift_quotients(f, mu, i, schedule, base_value=base_value)
+    quots = atom_shift_quotients(f, mu, i, schedule, base_value=base_value,
+                                 _probes=_probes)
     return _extrapolate(quots, schedule)
 
 
@@ -380,9 +435,11 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
                 level=level, grid_atoms=mu.atoms, g_values=g,
                 error_estimates=err, failed_atoms=tuple(range(mu.n_atoms)),
             )
+    probes = _ShiftProbes(f, mu)
     for i in range(mu.n_atoms):
         try:
-            g[i], err[i] = lions_derivative_at_atom(f, mu, i, schedule, base_value=base)
+            g[i], err[i] = lions_derivative_at_atom(f, mu, i, schedule, base_value=base,
+                                                    _probes=probes)
         except ProbeFailureError:
             g[i] = math.nan
             err[i] = math.nan
@@ -396,25 +453,32 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     )
 
 
+def _cell_index(level: QuantizationLevel, atoms: np.ndarray, xs) -> np.ndarray:
+    """Index into ``atoms`` of each point's half-open level-n dyadic cell,
+    -1 where that cell carries no atom (also where x * 2^n is not finite:
+    far beyond any finite grid)."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = xs.ravel() * 2.0 ** level.n
+    cells = np.floor(scaled) * 2.0 ** -level.n
+    j = np.searchsorted(atoms, cells)
+    hit = np.isfinite(scaled) & (j < atoms.size)
+    hit[hit] = atoms[j[hit]] == cells[hit]
+    return np.where(hit, j, -1).reshape(xs.shape)
+
+
+def _on_cells(est: DerivativeEstimate, per_atom: np.ndarray, xs) -> np.ndarray:
+    """``per_atom`` value of each point's cell, 0 on cells without mass."""
+    idx = _cell_index(est.level, est.grid_atoms, xs)
+    out = np.zeros(idx.shape)
+    hit = idx >= 0
+    out[hit] = per_atom[idx[hit]]
+    return out
+
+
 def g_tilde_values(est: DerivativeEstimate, xs) -> np.ndarray:
     """Piecewise-constant extension evaluated at an array of points."""
-    xs = np.asarray(xs, dtype=float)
-    n = est.level.n
-    scale = 2.0 ** n
-    inv = 2.0 ** -n
-    out = np.zeros(xs.shape)
-    atoms = est.grid_atoms
-    flat = xs.ravel()
-    res = out.ravel()
-    for k in range(flat.size):
-        scaled = float(flat[k]) * scale
-        if not math.isfinite(scaled):
-            continue  # far beyond any finite grid: a zero-mass cell
-        cell = math.floor(scaled) * inv
-        j = int(np.searchsorted(atoms, cell))
-        if j < atoms.size and atoms[j] == cell:
-            res[k] = est.g_values[j]
-    return out
+    return _on_cells(est, est.g_values, xs)
 
 
 def evaluate_g_tilde(est: DerivativeEstimate, x: float) -> float:

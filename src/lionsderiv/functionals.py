@@ -116,6 +116,9 @@ class PotentialSpec:
         return max(abs(self(float(x))) for x in xs)
 
 
+ShiftValue = Callable[[int, float], float | None]
+
+
 @dataclass(frozen=True)
 class Functional:
     """Evaluable map from canonical measures to reals.
@@ -124,6 +127,17 @@ class Functional:
     bitwise-identical values.  ``analytic_derivative``, when present, is the
     closed-form g(mu, x).  Equality compares name and params only, so a
     registry round trip returns an equal functional.
+
+    ``shift_evaluator``, when present, makes the estimator's one-atom shift
+    probes cheap.  ``shift_evaluator(canon)`` is called once per canonical
+    base measure and returns ``value(i, y)``, which must equal
+    ``evaluate(canon with atom i moved to y)`` bit for bit, weights kept,
+    for every finite ``y`` strictly between atoms i-1 and i+1.  ``value``
+    returns None to decline one probe and the factory returns None to
+    decline a base measure; declined probes are evaluated in full.  A
+    functional added with :func:`register` opts in by passing
+    ``shift_evaluator=`` to its ``Functional``; left None, every probe is
+    evaluated in full.
     """
 
     name: str
@@ -133,6 +147,9 @@ class Functional:
         default=None, compare=False, repr=False
     )
     smoothness_note: str = field(default="", compare=False)
+    shift_evaluator: Callable[[DiscreteMeasure], ShiftValue | None] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __call__(self, mu: DiscreteMeasure) -> float:
         return self.evaluate(mu)
@@ -148,13 +165,90 @@ class Functional:
         return self.analytic_derivative(mu, x)
 
 
+class _ExactSum:
+    """Exact sum of per-atom terms, re-summed with one term replaced in O(1).
+
+    ``partials`` are Shewchuk's non-overlapping partials of the terms
+    ("Adaptive Precision Floating-Point Arithmetic", 1997, the algorithm
+    behind ``math.fsum``): a short list whose exact sum is the exact sum of
+    the terms.  ``math.fsum`` returns the correctly rounded exact sum of its
+    inputs, so ``fsum(partials + [-old, new])`` is bitwise equal to ``fsum``
+    over the full term list with ``old`` replaced by ``new``.
+    """
+
+    def __init__(self, terms: list[float], partials: list[float]):
+        self.terms = terms
+        self.partials = partials
+
+    @classmethod
+    def of(cls, terms: np.ndarray) -> "_ExactSum | None":
+        """None when a term is non-finite or the partials overflow."""
+        values = terms.tolist()
+        partials: list[float] = []
+        for x in values:
+            i = 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                x = hi
+            partials[i:] = [x]
+        if not all(math.isfinite(v) for v in partials):
+            return None
+        return cls(values, partials)
+
+    def replaced(self, i: int, new: float) -> float | None:
+        """Sum with term i replaced by ``new``; None when ``new`` is not
+        finite or the sum overflows, where a full ``fsum`` could flag the
+        probe or raise differently."""
+        if not math.isfinite(new):
+            return None
+        try:
+            return math.fsum(self.partials + [-self.terms[i], new])
+        except OverflowError:
+            return None
+
+
+def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
+    """``evaluate`` and ``shift_evaluator`` for f(mu) = combine(S_1, S_2, ...)
+    with S_k the exactly rounded sum of the k-th per-atom term array.
+
+    ``terms(weights, atoms)`` is applied to the arrays of a measure and to
+    the Python floats of one moved atom, so both see the same operations in
+    the same order and the moved atom's terms are the ones ``evaluate``
+    would form.
+    """
+
+    def evaluate(mu: DiscreteMeasure) -> float:
+        return combine(*(math.fsum(t.tolist()) for t in terms(mu.weights, mu.atoms)))
+
+    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValue | None:
+        sums = [_ExactSum.of(t) for t in terms(canon.weights, canon.atoms)]
+        if any(s is None for s in sums):
+            return None
+        weights = canon.weights.tolist()
+
+        def value(i: int, y: float) -> float | None:
+            totals = [s.replaced(i, t) for s, t in zip(sums, terms(weights[i], y))]
+            if any(t is None for t in totals):
+                return None
+            return combine(*totals)
+
+        return value
+
+    return evaluate, shift_evaluator
+
+
 def make_linear(phi: PotentialSpec | tuple[float, ...] | list[float]) -> Functional:
     """f(mu) = integral of phi d mu for a polynomial phi; g(x) = phi'(x)."""
     spec = phi if isinstance(phi, PotentialSpec) else PotentialSpec(tuple(phi))
     dphi = spec.derivative()
-
-    def evaluate(mu: DiscreteMeasure) -> float:
-        return math.fsum((mu.weights * spec.values(mu.atoms)).tolist())
+    evaluate, shift_evaluator = _sum_of_terms(
+        lambda w, x: (w * spec.values(x),), lambda total: total)
 
     def analytic(mu: DiscreteMeasure, x: float) -> float:
         return dphi(float(x))
@@ -165,15 +259,13 @@ def make_linear(phi: PotentialSpec | tuple[float, ...] | list[float]) -> Functio
         evaluate=evaluate,
         analytic_derivative=analytic,
         smoothness_note="polynomial; smooth everywhere",
+        shift_evaluator=shift_evaluator,
     )
 
 
 def make_mean_square() -> Functional:
     """f(mu) = (mean of mu)^2; g(x) = 2 * mean(mu), constant in x."""
-
-    def evaluate(mu: DiscreteMeasure) -> float:
-        m = mean(mu)
-        return m * m
+    evaluate, shift_evaluator = _sum_of_terms(lambda w, x: (w * x,), lambda m: m * m)
 
     def analytic(mu: DiscreteMeasure, x: float) -> float:
         return 2.0 * mean(mu)
@@ -184,16 +276,14 @@ def make_mean_square() -> Functional:
         evaluate=evaluate,
         analytic_derivative=analytic,
         smoothness_note="smooth everywhere",
+        shift_evaluator=shift_evaluator,
     )
 
 
 def make_variance() -> Functional:
     """f(mu) = E[x^2] - (E[x])^2; g(x) = 2x - 2 * mean(mu)."""
-
-    def evaluate(mu: DiscreteMeasure) -> float:
-        m = mean(mu)
-        sq = math.fsum((mu.weights * mu.atoms * mu.atoms).tolist())
-        return sq - m * m
+    evaluate, shift_evaluator = _sum_of_terms(
+        lambda w, x: (w * x, w * x * x), lambda m, sq: sq - m * m)
 
     def analytic(mu: DiscreteMeasure, x: float) -> float:
         return 2.0 * float(x) - 2.0 * mean(mu)
@@ -204,6 +294,7 @@ def make_variance() -> Functional:
         evaluate=evaluate,
         analytic_derivative=analytic,
         smoothness_note="smooth everywhere",
+        shift_evaluator=shift_evaluator,
     )
 
 

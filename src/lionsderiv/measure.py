@@ -59,6 +59,9 @@ __all__ = [
 # instead of silently renormalized.
 WEIGHT_SUM_TOLERANCE = 1e-9
 
+# Finest dyadic level: 2.0 ** n overflows above it.
+MAX_LEVEL = 1023
+
 
 class MeasureError(ValueError):
     """Invalid measure or sample construction."""
@@ -187,8 +190,8 @@ class QuantizationLevel:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise MeasureError(f"level must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if self.n < 0:
-            raise MeasureError(f"level must be nonnegative, got {self.n}")
+        if not 0 <= self.n <= MAX_LEVEL:
+            raise MeasureError(f"level must lie in 0..{MAX_LEVEL}, got {self.n}")
 
     @property
     def cell_width(self) -> float:
@@ -320,18 +323,16 @@ def dyadic_quantize(sample: EmpiricalSample,
         Same weights, values floored to the level-n grid.
     """
     n = as_level(level).n
-    scale = 2.0 ** n
-    inv = 2.0 ** -n
-    out = np.empty(sample.size)
     values = sample.values
-    for k in range(values.size):
-        scaled = float(values[k]) * scale
-        if not math.isfinite(scaled):
-            raise MeasureError(
-                f"value {values[k]!r} overflows at quantization level {n}"
-            )
-        out[k] = math.floor(scaled) * inv
-    return EmpiricalSample(out, sample.weights)
+    with np.errstate(over="ignore"):
+        scaled = values * 2.0 ** n
+    overflow = ~np.isfinite(scaled)
+    if overflow.any():
+        k = int(np.flatnonzero(overflow)[0])
+        raise MeasureError(
+            f"value {values[k]!r} overflows at quantization level {n}"
+        )
+    return EmpiricalSample(np.floor(scaled) * 2.0 ** -n, sample.weights)
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:

@@ -259,6 +259,31 @@ def test_estimate_rejects_level_and_levels_together(workdir, capsys):
                  '{"name":"variance"}', "--level", "3", "--levels", "2..5"]) == 2
 
 
+@pytest.mark.parametrize("levels", [["--level", "1030"], ["--level", "1080"],
+                                    ["--levels", "2..1080"]])
+def test_level_beyond_float_range_exits_2(workdir, capsys, levels):
+    inp = write(workdir / "s.csv", BALANCED)
+    assert main(["estimate", "--input", inp, "--functional",
+                 '{"name":"variance"}', *levels]) == 2
+    err = capsys.readouterr().err
+    assert "1023" in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_report_is_strict_json_for_non_finite_results(workdir):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    inp = write(workdir / "s.csv", "1e30\n-2e30\n3e30\n")
+    code = main(["verify", "--input", inp, "--functional",
+                 '{"name":"linear","phi":[0,0,0,0,0,0,0,0,0,0,1]}', "--level", "2",
+                 "--out", "v.json"])
+    assert code == 4
+    report = json.loads((workdir / "v.json").read_text(), parse_constant=reject)
+    oracle = next(c for c in report["checks"] if c["name"] == "oracle_comparison")
+    assert oracle["status"] == "fail"
+    assert oracle["details"]["l2_law_error"] is None
+
+
 def test_flags_override_config(workdir):
     rng = np.random.default_rng(3)
     inp = write(workdir / "s.csv",

@@ -181,6 +181,36 @@ def test_grid_is_bitwise_order_independent():
     assert np.array_equal(a.error_estimates, b.error_estimates)
 
 
+def test_grid_canonicalizes_per_grid_not_per_probe(monkeypatch):
+    import lionsderiv.estimator as estimator_module
+    import lionsderiv.measure as measure_module
+
+    canonicalizations = []
+    real = measure_module.make_measure
+
+    def counting(*args, **kwargs):
+        canonicalizations.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measure_module, "make_measure", counting)  # law_of
+    monkeypatch.setattr(estimator_module, "make_measure", counting)
+    full_evaluations = []
+
+    def evaluate(mu):
+        full_evaluations.append(1)
+        return VARIANCE(mu)
+
+    counted_variance = Functional(name="variance", params={}, evaluate=evaluate,
+                                  shift_evaluator=VARIANCE.shift_evaluator)
+    sample = random_sample(np.random.default_rng(5), size=256)
+    for f in (counted_variance, make_interaction([0.0, 0.0, 0.5])):
+        canonicalizations.clear()
+        est = lions_derivative_grid(f, sample, 8)
+        assert est.n_atoms > 100
+        assert len(canonicalizations) == 2  # the law, then its canonical form
+    assert full_evaluations == []  # every probe was incremental
+
+
 def test_grid_flags_probe_failures_per_atom():
     def fragile(mu):
         # blows up only when the top atom gets pushed above 1

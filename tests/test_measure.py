@@ -172,6 +172,15 @@ def test_quantize_level_validation():
     assert QuantizationLevel(3).cell_width == 0.125
 
 
+def test_quantize_level_range_ends_where_two_to_the_n_overflows():
+    assert QuantizationLevel(1023).cell_width == 2.0 ** -1023
+    assert dyadic_quantize(make_sample([0.75]), 1023).values.tolist() == [0.75]
+    with pytest.raises(MeasureError, match="0..1023"):
+        QuantizationLevel(1024)
+    with pytest.raises(MeasureError):
+        dyadic_quantize(make_sample([0.75]), 1030)
+
+
 def test_quantize_moves_down_less_than_cell():
     rng = np.random.default_rng(7)
     for _ in range(20):
