@@ -21,11 +21,8 @@ from .measure import (
     make_measure,
     make_sample,
     mean,
-    read_measure_csv,
     read_sample_file,
-    second_moment,
     wasserstein2,
-    write_measure_csv,
 )
 from .functionals import (
     Functional,

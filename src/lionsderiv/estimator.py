@@ -37,6 +37,7 @@ from .measure import (
     DiscreteMeasure,
     EmpiricalSample,
     QuantizationLevel,
+    _weighted_l2,
     as_level,
     dyadic_quantize,
     law_of,
@@ -162,8 +163,8 @@ class DerivativeEstimate:
     Zero-mass grid cells are excluded here; the piecewise-constant extension
     (:func:`evaluate_g_tilde`) returns 0 on them, so the L2(law) statements
     stay meaningful and no quotient ever divides by a zero weight.  Atoms
-    whose probes failed are listed in ``failed_atoms``; their entries are
-    NaN.
+    whose probes failed, or whose extrapolation is not finite, are listed in
+    ``failed_atoms``; their entries are NaN.
     """
 
     level: QuantizationLevel
@@ -210,14 +211,6 @@ class ConvergenceReport:
     distances: tuple[float, ...]
     tol: float
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "distances": list(self.distances),
-            "tol": self.tol,
-            "converged": self.converged,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +301,6 @@ def _finite(value: float, context: str) -> float:
     return value
 
 
-def _probe(f: Callable[[DiscreteMeasure], float], mu: DiscreteMeasure,
-           context: str) -> float:
-    return _finite(f(mu), context)
-
-
 # ---------------------------------------------------------------------------
 # Richardson extrapolation
 # ---------------------------------------------------------------------------
@@ -337,6 +325,24 @@ def _extrapolate(quotients, schedule: StepSchedule) -> tuple[float, float]:
     return _richardson(quotients, schedule.ratio, 1, 1)
 
 
+def _quotients(value_at: Callable[[float], float], steps, mode: str,
+               base: Callable[[], float], scale: float = 1.0) -> np.ndarray:
+    """[v(eps) - base] / (eps * scale) one-sided, [v(eps) - v(-eps)] /
+    (2 eps * scale) central, at each step; +eps is probed before -eps.
+
+    ``base`` is called once, before any probe, and only in one-sided mode.
+    """
+    quots = np.empty(len(steps))
+    if mode == "one_sided":
+        b = base()
+        for k, eps in enumerate(steps):
+            quots[k] = (value_at(eps) - b) / (eps * scale)
+    else:
+        for k, eps in enumerate(steps):
+            quots[k] = (value_at(eps) - value_at(-eps)) / (2.0 * eps * scale)
+    return quots
+
+
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
@@ -355,21 +361,15 @@ def atom_shift_quotients(f, mu: DiscreteMeasure, i: int,
     schedule = schedule if schedule is not None else StepSchedule()
     i = _check_index(mu, i)
     probes = _probes if _probes is not None else _ShiftProbes(f, mu)
-    x = float(mu.atoms[i])
-    p = float(mu.weights[i])
-    steps = schedule.steps(at=x)
-    quots = np.empty(len(steps))
-    if schedule.mode == "one_sided":
-        base = (_probe(f, mu, "the unperturbed measure")
-                if base_value is None else float(base_value))
-        for k, eps in enumerate(steps):
-            quots[k] = (probes.value(i, eps) - base) / (eps * p)
-    else:
-        for k, eps in enumerate(steps):
-            plus = probes.value(i, eps)
-            minus = probes.value(i, -eps)
-            quots[k] = (plus - minus) / (2.0 * eps * p)
-    return quots
+
+    def base() -> float:
+        if base_value is None:
+            return _finite(f(mu), "the unperturbed measure")
+        return float(base_value)
+
+    return _quotients(lambda eps: probes.value(i, eps),
+                      schedule.steps(at=float(mu.atoms[i])), schedule.mode, base,
+                      scale=float(mu.weights[i]))
 
 
 def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
@@ -415,9 +415,10 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
                           schedule: StepSchedule | None = None) -> DerivativeEstimate:
     """Quantize the sample, form its law, differentiate at every grid atom.
 
-    Per-atom computations are independent and order-free; failures are
-    flagged per atom (NaN entries plus ``failed_atoms``), never a global
-    abort.
+    Per-atom computations are independent and order-free.  An atom whose
+    probe returns a non-finite value, or whose extrapolated value or error
+    is not finite, is flagged (NaN entries plus ``failed_atoms``), never a
+    global abort.  An exception raised by the functional itself propagates.
     """
     level = as_level(level)
     schedule = schedule if schedule is not None else StepSchedule.for_level(level)
@@ -428,7 +429,7 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     base = None
     if schedule.mode == "one_sided":
         try:
-            base = _probe(f, mu, "the quantized law")
+            base = _finite(f(mu), "the quantized law")
         except ProbeFailureError:
             # the shared base probe failed: every atom is flagged
             return DerivativeEstimate(
@@ -438,11 +439,13 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     probes = _ShiftProbes(f, mu)
     for i in range(mu.n_atoms):
         try:
-            g[i], err[i] = lions_derivative_at_atom(f, mu, i, schedule, base_value=base,
+            value, error = lions_derivative_at_atom(f, mu, i, schedule, base_value=base,
                                                     _probes=probes)
         except ProbeFailureError:
-            g[i] = math.nan
-            err[i] = math.nan
+            value = error = math.nan
+        if math.isfinite(value) and math.isfinite(error):
+            g[i], err[i] = value, error
+        else:
             failed.append(i)
     return DerivativeEstimate(
         level=level,
@@ -487,15 +490,16 @@ def evaluate_g_tilde(est: DerivativeEstimate, x: float) -> float:
     return float(g_tilde_values(est, np.array([float(x)]))[0])
 
 
-def _l2_law_distance(a: DerivativeEstimate, b: DerivativeEstimate,
-                     sample: EmpiricalSample) -> float:
-    ga = g_tilde_values(a, sample.values)
-    gb = g_tilde_values(b, sample.values)
-    total = math.fsum(
-        float(w) * float(d) * float(d)
-        for w, d in zip(sample.weights, ga - gb)
-    )
-    return math.sqrt(max(total, 0.0))
+def _level_grids(f, sample: EmpiricalSample, levels, policy: SchedulePolicy):
+    """Per level: the derivative grid, g-tilde at the sample's values, and
+    the L2(law) distance to the previous level's g-tilde (None at the first
+    level).  Each grid is computed only when the next item is requested."""
+    prev = None
+    for n in levels:
+        est = lions_derivative_grid(f, sample, n, policy.for_level(n))
+        g = g_tilde_values(est, sample.values)
+        yield est, g, None if prev is None else _weighted_l2(sample.weights, prev - g)
+        prev = g
 
 
 def refine_until_converged(f, sample: EmpiricalSample, tol: float,
@@ -519,22 +523,16 @@ def refine_until_converged(f, sample: EmpiricalSample, tol: float,
     policy = schedule_policy if schedule_policy is not None else SchedulePolicy()
     levels: list[int] = []
     distances: list[float] = []
-    prev: DerivativeEstimate | None = None
-    est: DerivativeEstimate | None = None
-    for n in range(n_min, n_max + 1):
-        est = lions_derivative_grid(f, sample, n, policy.for_level(n))
-        levels.append(n)
-        if prev is not None:
-            d = _l2_law_distance(prev, est, sample)
+    converged = False
+    for est, _, d in _level_grids(f, sample, range(n_min, n_max + 1), policy):
+        levels.append(est.level.n)
+        if d is not None:
             distances.append(d)
-            if d < tol:
-                return est, ConvergenceReport(
-                    levels=tuple(levels), distances=tuple(distances),
-                    tol=tol, converged=True,
-                )
-        prev = est
+            converged = d < tol
+            if converged:
+                break
     return est, ConvergenceReport(
-        levels=tuple(levels), distances=tuple(distances), tol=tol, converged=False,
+        levels=tuple(levels), distances=tuple(distances), tol=tol, converged=converged,
     )
 
 
@@ -552,22 +550,13 @@ def partial_mass_perturbation(f, mu: DiscreteMeasure, i: int, q: float,
     q = float(q)
     if not (0.0 < q <= 1.0):
         raise EstimatorError(f"mass fraction must lie in (0, 1], got {q!r}")
-    x = float(mu.atoms[i])
-    steps = schedule.steps(at=x)
-    quots = np.empty(len(steps))
-    if schedule.mode == "one_sided":
-        base = _probe(f, mu, "the unperturbed measure")
-        for k, eps in enumerate(steps):
-            moved = _probe(f, _mass_moved(mu, i, q, eps),
-                           f"mass {q!r} of atom {i} moved by {eps!r}")
-            quots[k] = (moved - base) / eps
-    else:
-        for k, eps in enumerate(steps):
-            plus = _probe(f, _mass_moved(mu, i, q, eps),
-                          f"mass {q!r} of atom {i} moved by {eps!r}")
-            minus = _probe(f, _mass_moved(mu, i, q, -eps),
-                           f"mass {q!r} of atom {i} moved by {-eps!r}")
-            quots[k] = (plus - minus) / (2.0 * eps)
+
+    def value_at(eps: float) -> float:
+        return _finite(f(_mass_moved(mu, i, q, eps)),
+                       f"mass {q!r} of atom {i} moved by {eps!r}")
+
+    quots = _quotients(value_at, schedule.steps(at=float(mu.atoms[i])), schedule.mode,
+                       lambda: _finite(f(mu), "the unperturbed measure"))
     value, _ = _extrapolate(quots, schedule)
     return value
 
@@ -582,20 +571,13 @@ def directional_derivative(f, sample: EmpiricalSample, eta: Direction,
             f"direction length {eta.values.size} != sample length {sample.size}"
         )
     at = float(np.max(np.abs(sample.values))) if sample.size else 0.0
-    steps = schedule.steps(at=at)
 
     def value_at(eps_signed: float) -> float:
         moved = EmpiricalSample(sample.values + eps_signed * eta.values,
                                 sample.weights)
-        return _probe(f, law_of(moved), f"sample displaced by {eps_signed!r} * eta")
+        return _finite(f(law_of(moved)), f"sample displaced by {eps_signed!r} * eta")
 
-    quots = np.empty(len(steps))
-    if schedule.mode == "one_sided":
-        base = _probe(f, law_of(sample), "the unperturbed sample's law")
-        for k, eps in enumerate(steps):
-            quots[k] = (value_at(eps) - base) / eps
-    else:
-        for k, eps in enumerate(steps):
-            quots[k] = (value_at(eps) - value_at(-eps)) / (2.0 * eps)
+    quots = _quotients(value_at, schedule.steps(at=at), schedule.mode,
+                       lambda: _finite(f(law_of(sample)), "the unperturbed sample's law"))
     value, _ = _extrapolate(quots, schedule)
     return value

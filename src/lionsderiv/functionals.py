@@ -26,6 +26,7 @@ coincide with ``variance`` on every measure, which the tests assert.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -335,15 +336,16 @@ class FunctionalRegistry:
         self._factories[name] = factory
         return name
 
-    def lookup(self, name: str, **params: Any) -> Functional:
-        try:
-            factory = self._factories[name]
-        except KeyError:
+    def factory(self, name: str) -> Callable[..., Functional]:
+        """The factory registered under ``name``; any other name, including
+        one that is not a string, is a config error."""
+        if not isinstance(name, str) or name not in self._factories:
             known = ", ".join(sorted(self._factories))
-            raise FunctionalConfigError(
-                f"unknown functional {name!r} (known: {known})"
-            ) from None
-        return factory(**params)
+            raise FunctionalConfigError(f"unknown functional {name!r} (known: {known})")
+        return self._factories[name]
+
+    def lookup(self, name: str, **params: Any) -> Functional:
+        return self.factory(name)(**params)
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._factories))
@@ -366,43 +368,37 @@ def lookup(name: str, **params: Any) -> Functional:
     return REGISTRY.lookup(name, **params)
 
 
-_CONFIG_PARAM_KEYS = {
-    "linear": {"phi"},
-    "mean_square": set(),
-    "variance": set(),
-    "interaction": {"w"},
-}
-
-
 def functional_from_config(config: Mapping[str, Any]) -> Functional:
-    """Build a built-in functional from its JSON configuration form.
+    """Build a registered functional from its JSON configuration form.
 
-    Accepted shapes: ``{"name": "variance"}``, ``{"name": "mean_square"}``,
+    The keys besides ``name`` are the parameters of the registered factory,
+    each a non-empty list of numbers; parameters without a default are
+    required, unknown keys are rejected.  For the built-ins:
+    ``{"name": "variance"}``, ``{"name": "mean_square"}``,
     ``{"name": "linear", "phi": [c0, c1, ...]}``,
-    ``{"name": "interaction", "w": [c0, c1, ...]}``.  Unknown keys are
-    rejected.
+    ``{"name": "interaction", "w": [c0, c1, ...]}``.
     """
     if not isinstance(config, Mapping):
         raise FunctionalConfigError(f"functional spec must be an object, got {config!r}")
     if "name" not in config:
         raise FunctionalConfigError("functional spec is missing `name`")
     name = config["name"]
-    if name not in _CONFIG_PARAM_KEYS:
-        known = ", ".join(sorted(_CONFIG_PARAM_KEYS))
-        raise FunctionalConfigError(f"unknown functional {name!r} (known: {known})")
-    allowed = _CONFIG_PARAM_KEYS[name]
+    factory = REGISTRY.factory(name)
+    parameters = inspect.signature(factory).parameters
+    allowed = set(parameters)
+    required = {k for k, p in parameters.items() if p.default is p.empty}
     extra = set(config) - allowed - {"name"}
     if extra:
         raise FunctionalConfigError(
             f"unknown keys for functional {name!r}: {sorted(extra)}"
         )
-    missing = allowed - set(config)
+    missing = required - set(config)
     if missing:
         raise FunctionalConfigError(
             f"functional {name!r} requires keys: {sorted(missing)}"
         )
     params: dict[str, Any] = {}
-    for key in allowed:
+    for key in allowed & set(config):
         coeffs = config[key]
         if not isinstance(coeffs, (list, tuple)) or not coeffs or not all(
             isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs
@@ -411,4 +407,4 @@ def functional_from_config(config: Mapping[str, Any]) -> Functional:
                 f"{key!r} must be a non-empty list of numbers, got {coeffs!r}"
             )
         params[key] = tuple(float(c) for c in coeffs)
-    return REGISTRY.lookup(name, **params)
+    return factory(**params)

@@ -13,8 +13,7 @@ Two representations live here:
 Plus the operations the rest of the package is built on: canonicalization
 (``make_measure``), the sample -> law projection (``law_of``), dyadic floor
 quantization to the grid {i * 2^-n} (``dyadic_quantize``), the exact 1-D
-quantile-coupling Wasserstein-2 distance (``wasserstein2``), and moment
-helpers.
+quantile-coupling Wasserstein-2 distance (``wasserstein2``), and the mean.
 
 Numerical policy: every weighted sum is formed with ``math.fsum`` (exactly
 rounded, hence order-independent and bit-stable across runs), and atom
@@ -48,11 +47,8 @@ __all__ = [
     "law_of",
     "dyadic_quantize",
     "wasserstein2",
-    "second_moment",
     "mean",
     "read_sample_file",
-    "write_measure_csv",
-    "read_measure_csv",
 ]
 
 # Inputs whose weight sum strays farther than this from 1 are rejected
@@ -364,26 +360,30 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     cmu = _cumulative(mu.weights)
     cnu = _cumulative(nu.weights)
     xs, ys = mu.atoms, nu.atoms
-    pieces: list[float] = []
+    segments: list[float] = []
+    gaps: list[float] = []
     i = j = 0
     prev = 0.0
     while i < cmu.size and j < cnu.size:
         upper = min(cmu[i], cnu[j])
         seg = upper - prev
         if seg > 0.0:
-            d = xs[i] - ys[j]
-            pieces.append(seg * d * d)
+            segments.append(seg)
+            gaps.append(xs[i] - ys[j])
         prev = upper
         if cmu[i] == upper:
             i += 1
         if cnu[j] == upper:
             j += 1
-    return math.sqrt(max(math.fsum(pieces), 0.0))
+    return _weighted_l2(np.array(segments), np.array(gaps))
 
 
-def second_moment(mu: DiscreteMeasure) -> float:
-    """Sum of p_i * x_i^2 over sorted atoms (exactly rounded summation)."""
-    return math.fsum((mu.weights * mu.atoms * mu.atoms).tolist())
+def _weighted_l2(weights: np.ndarray, d: np.ndarray) -> float:
+    """sqrt(sum_k w_k d_k^2) with an exactly rounded sum: the L2 norm of
+    ``d`` under the weights.  Overflow gives inf, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = weights * d * d
+    return math.sqrt(max(math.fsum(terms.tolist()), 0.0))
 
 
 def mean(mu: DiscreteMeasure) -> float:
@@ -457,34 +457,3 @@ def read_sample_file(path: str) -> EmpiricalSample:
         return make_sample(values, weights if weighted else None)
     except MeasureError as exc:
         raise SampleFormatError(str(exc), path=str(path)) from exc
-
-
-def write_measure_csv(mu: DiscreteMeasure, path: str) -> None:
-    """Write `x,p` rows in increasing atom order at full round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,p\n")
-        for x, p in zip(mu.atoms, mu.weights):
-            fh.write(f"{float(x)!r},{float(p)!r}\n")
-
-
-def read_measure_csv(path: str) -> DiscreteMeasure:
-    """Read a measure written by :func:`write_measure_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.readlines()]
-    if not lines or lines[0] != "x,p":
-        raise SampleFormatError("expected header `x,p`", path=str(path), line=1)
-    atoms: list[float] = []
-    weights: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise SampleFormatError(
-                f"expected `x,p`, got {line!r}", path=str(path), line=lineno
-            )
-        atoms.append(float(fields[0]))
-        weights.append(float(fields[1]))
-    if not atoms:
-        raise SampleFormatError("no atoms found", path=str(path), line=1)
-    return DiscreteMeasure(np.array(atoms), np.array(weights))

@@ -15,7 +15,7 @@ comparisons use functional-specific truncation bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .estimator import (
     Direction,
     SchedulePolicy,
     StepSchedule,
+    _level_grids,
     _on_cells,
     directional_derivative,
     g_tilde_values,
@@ -37,6 +38,7 @@ from .measure import (
     DiscreteMeasure,
     EmpiricalSample,
     QuantizationLevel,
+    _weighted_l2,
     as_level,
     dyadic_quantize,
     law_of,
@@ -112,8 +114,7 @@ def check_structure(f: Functional, sample: EmpiricalSample,
     gvals = g_tilde_values(est, qs.values)
     evals = _on_cells(est, est.error_estimates, qs.values)
     weights = qs.weights
-    g_norm = math.sqrt(max(math.fsum(
-        float(w) * float(g) * float(g) for w, g in zip(weights, gvals)), 0.0))
+    g_norm = _weighted_l2(weights, gvals)
 
     rng = np.random.default_rng(seed)
     cases = []
@@ -126,8 +127,7 @@ def check_structure(f: Functional, sample: EmpiricalSample,
             float(w) * float(g) * float(e)
             for w, g, e in zip(weights, gvals, eta)
         )
-        eta_norm = math.sqrt(max(math.fsum(
-            float(w) * float(e) * float(e) for w, e in zip(weights, eta)), 0.0))
+        eta_norm = _weighted_l2(weights, eta)
         denom = max(abs(lhs), abs(rhs), g_norm * eta_norm, _TINY)
         rel = abs(lhs - rhs) / denom
         err_bound = math.fsum(
@@ -149,8 +149,7 @@ def check_structure(f: Functional, sample: EmpiricalSample,
         "directions": directions,
         "seed": int(seed),
         "direction_generator": "standard_normal, sequential draws",
-        "schedule": {"eps0": schedule.eps0, "ratio": schedule.ratio,
-                     "count": schedule.count, "mode": schedule.mode},
+        "schedule": asdict(schedule),
     }
     return _finish("structure_identity", worst, tolerance, cases, details)
 
@@ -266,8 +265,7 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
         "fit_residual_tolerance": 1e-6,
         "slope_gap": float(slope_gap),
         "slope_tolerance": float(slope_tol),
-        "schedule": {"eps0": schedule.eps0, "ratio": schedule.ratio,
-                     "count": schedule.count, "mode": schedule.mode},
+        "schedule": asdict(schedule),
     }
     return _finish("mass_linearity", discrepancy, 1.0, cases, details)
 
@@ -318,8 +316,7 @@ def check_against_oracle(f: Functional, sample: EmpiricalSample,
     oracle = np.array([f.analytic_g(mu_n, float(x)) for x in mu_n.atoms])
     gaps = np.abs(est.g_values - oracle)
     sup = float(np.max(gaps)) if gaps.size else 0.0
-    l2 = math.sqrt(max(math.fsum(
-        float(p) * float(d) * float(d) for p, d in zip(mu_n.weights, gaps)), 0.0))
+    l2 = _weighted_l2(mu_n.weights, gaps)
     tolerance, rule = _oracle_tolerance(f, schedule, mu_n.atoms, est.error_estimates)
     cases = [
         {"atom": float(x), "estimated": float(g), "oracle": float(o),
@@ -332,8 +329,7 @@ def check_against_oracle(f: Functional, sample: EmpiricalSample,
         "sup_error": sup,
         "l2_law_error": l2,
         "tolerance_rule": rule,
-        "schedule": {"eps0": schedule.eps0, "ratio": schedule.ratio,
-                     "count": schedule.count, "mode": schedule.mode},
+        "schedule": asdict(schedule),
     }
     return _finish("oracle_comparison", sup, tolerance, cases, details)
 
@@ -370,28 +366,11 @@ def convergence_study(f: Functional, sample: EmpiricalSample,
             [f.analytic_g(base_law, float(v)) for v in sample.values]
         )
     rows: list[StudyRow] = []
-    prev = None
-    for n in levels:
-        est = lions_derivative_grid(f, sample, n, policy.for_level(n))
+    for est, g, succ in _level_grids(f, sample, levels, policy):
+        n = est.level.n
         w2 = wasserstein2(base_law, law_of(dyadic_quantize(sample, n)))
-        succ = None
-        if prev is not None:
-            ga = g_tilde_values(prev, sample.values)
-            gb = g_tilde_values(est, sample.values)
-            succ = math.sqrt(max(math.fsum(
-                float(w) * float(d) * float(d)
-                for w, d in zip(sample.weights, ga - gb)), 0.0))
-        oerr = None
-        if oracle_at_values is not None:
-            gv = g_tilde_values(est, sample.values)
-            oerr = math.sqrt(max(math.fsum(
-                float(w) * float(d) * float(d)
-                for w, d in zip(sample.weights, gv - oracle_at_values)), 0.0))
-        rows.append(StudyRow(
-            level=n,
-            w2_quantization=float(w2),
-            successive_difference=None if succ is None else float(succ),
-            oracle_error=None if oerr is None else float(oerr),
-        ))
-        prev = est
+        oerr = (None if oracle_at_values is None
+                else _weighted_l2(sample.weights, g - oracle_at_values))
+        rows.append(StudyRow(level=n, w2_quantization=float(w2),
+                             successive_difference=succ, oracle_error=oerr))
     return tuple(rows)

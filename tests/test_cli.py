@@ -227,6 +227,14 @@ def test_bad_functional_json_exits_2(workdir, capsys):
                  '{"name":"nope"}']) == 2
 
 
+def test_non_string_functional_name_exits_2(workdir, capsys):
+    inp = write(workdir / "s.csv", BALANCED)
+    assert main(["estimate", "--input", inp, "--functional",
+                 '{"name":["variance"]}']) == 2
+    err = capsys.readouterr().err
+    assert "unknown functional" in err and len(err.strip().splitlines()) == 1
+
+
 def test_unknown_config_key_exits_2(workdir, capsys):
     inp = write(workdir / "s.csv", BALANCED)
     cfg = write(workdir / "cfg.json",
@@ -282,6 +290,19 @@ def test_verify_report_is_strict_json_for_non_finite_results(workdir):
     oracle = next(c for c in report["checks"] if c["name"] == "oracle_comparison")
     assert oracle["status"] == "fail"
     assert oracle["details"]["l2_law_error"] is None
+
+
+def test_estimate_flags_non_finite_extrapolation(workdir):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    inp = write(workdir / "s.csv", "0.0\n0.5\n")
+    code = main(["estimate", "--input", inp, "--functional",
+                 '{"name":"linear","phi":[1e308,1e308]}', "--level", "2"])
+    assert code == 3
+    report = json.loads((workdir / "estimate.report.json").read_text(),
+                        parse_constant=reject)
+    assert report["failed_atoms"] == list(range(report["n_atoms"])) == [0, 1]
 
 
 def test_flags_override_config(workdir):

@@ -226,6 +226,16 @@ def test_grid_flags_probe_failures_per_atom():
     assert not math.isnan(est.g_values[0])
 
 
+def test_grid_flags_non_finite_extrapolation_per_atom():
+    # Every probe value is finite, but plus - minus overflows, so the
+    # extrapolated value and its error come out NaN.
+    f = make_linear([1e308, 1e308])
+    est = lions_derivative_grid(f, make_sample([0.0, 0.5]), 2)
+    assert est.failed_atoms == (0, 1)
+    assert np.all(np.isnan(est.g_values))
+    assert np.all(np.isnan(est.error_estimates))
+
+
 def test_estimate_invariant_validation():
     with pytest.raises(EstimatorError):
         DerivativeEstimate(

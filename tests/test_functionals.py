@@ -194,6 +194,7 @@ def test_functional_from_config_variants():
     {"name": "linear", "phi": []},
     {"name": "linear", "phi": ["x"]},
     {"name": "interaction", "w": [0, 1], "extra": 2},
+    {"name": ["variance"]},
 ])
 def test_functional_from_config_rejects(bad):
     with pytest.raises(FunctionalConfigError):

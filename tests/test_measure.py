@@ -4,7 +4,6 @@ Oracle checklist:
 - W2 on hand cases: quantile integral computed by hand.
 - W2 on random pairs: brute-force optimal coupling via linear programming
   (scipy HiGHS), fully independent of the quantile-merge implementation.
-- second_moment on uniform {0, 1/2, 1}: direct sum 5/12.
 """
 
 import math
@@ -23,11 +22,8 @@ from lionsderiv import (
     make_measure,
     make_sample,
     mean,
-    read_measure_csv,
     read_sample_file,
-    second_moment,
     wasserstein2,
-    write_measure_csv,
 )
 
 from conftest import random_measure, random_sample
@@ -230,15 +226,8 @@ def test_w2_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# moments
+# mean
 # ---------------------------------------------------------------------------
-
-def test_second_moment_examples():
-    assert second_moment(make_measure([3.0], [1.0])) == 9.0
-    assert second_moment(make_measure([-1.0, 1.0], [0.5, 0.5])) == 1.0
-    uniform = make_measure([0.0, 0.5, 1.0], [1 / 3, 1 / 3, 1 / 3])
-    assert second_moment(uniform) == pytest.approx(5 / 12, rel=1e-14)
-
 
 def test_mean_helper():
     assert mean(make_measure([0.0, 1.0], [0.25, 0.75])) == 0.75
@@ -282,14 +271,3 @@ def test_read_sample_empty_file(tmp_path):
     p.write_text("# only comments\n")
     with pytest.raises(SampleFormatError, match="no records"):
         read_sample_file(str(p))
-
-
-def test_measure_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    mu = random_measure(rng)
-    p = tmp_path / "m.csv"
-    write_measure_csv(mu, str(p))
-    back = read_measure_csv(str(p))
-    assert np.array_equal(mu.atoms, back.atoms)
-    assert np.array_equal(mu.weights, back.weights)
-    assert p.read_text().startswith("x,p\n")

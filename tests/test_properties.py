@@ -1,17 +1,19 @@
 """Hypothesis invariants for the measure layer, the quantizer, the cell
-lookup and the one-atom shift probes."""
+lookup, the weighted-L2 helper and the one-atom shift probes."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lionsderiv import (
     DerivativeEstimate,
     DiscreteMeasure,
+    EmpiricalSample,
     MeasureError,
     ProbeFailureError,
     QuantizationLevel,
@@ -28,6 +30,7 @@ from lionsderiv import (
     wasserstein2,
 )
 from lionsderiv.estimator import _ShiftProbes
+from lionsderiv.measure import _weighted_l2
 
 finite_values = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 raw_weights = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
@@ -74,14 +77,23 @@ def test_quantization_tower_property(sample, n):
     assert np.array_equal(via_finer.values, direct.values)
 
 
+# Its weights do not sum to exactly 1.0, so normalizing them once more
+# moves bits: a permuted copy must not be renormalized.
+_RENORMALIZABLE = make_sample(
+    [0.25, 0.5, 0.5, 1.0, 0.5, 1.0],
+    [r / math.fsum([0.1, 0.7, 0.7, 0.3, 0.05, 0.3])
+     for r in (0.1, 0.7, 0.7, 0.3, 0.05, 0.3)])
+
+
 @given(samples(), levels, st.randoms(use_true_random=False))
+@example(_RENORMALIZABLE, 0, random.Random(0))
 @settings(max_examples=100, deadline=None)
 def test_quantized_law_depends_only_on_law(sample, n, rnd):
     base = law_of(dyadic_quantize(sample, n))
 
     order = list(range(sample.size))
     rnd.shuffle(order)
-    permuted = make_sample(sample.values[order], sample.weights[order])
+    permuted = EmpiricalSample(sample.values[order], sample.weights[order])
     permuted_law = law_of(dyadic_quantize(permuted, n))
     assert np.array_equal(base.atoms, permuted_law.atoms)
     assert np.array_equal(base.weights, permuted_law.weights)
@@ -305,3 +317,14 @@ def test_vectorised_g_tilde_matches_loop(sample, n, xs):
     assert _bits(g_tilde_values(est, points)) == _bits(_loop_g_tilde(est, points))
     at_one = g_tilde_values(est, points[0])
     assert at_one.shape == () and _bits(at_one) == _bits(_loop_g_tilde(est, points[:1]))
+
+
+@given(st.lists(st.tuples(raw_weights, st.one_of(wide_values, st.just(math.nan))),
+                min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_weighted_l2_matches_loop(pairs):
+    weights = np.array([w for w, _ in pairs])
+    d = np.array([x for _, x in pairs])
+    loop = math.sqrt(max(math.fsum(float(w) * float(x) * float(x)
+                                   for w, x in zip(weights, d)), 0.0))
+    assert _bits(_weighted_l2(weights, d)) == _bits(loop)

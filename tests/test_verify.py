@@ -22,6 +22,7 @@ from lionsderiv import (
     make_mean_square,
     make_sample,
     make_variance,
+    refine_until_converged,
 )
 
 from conftest import random_sample
@@ -234,6 +235,15 @@ def test_study_without_closed_form_leaves_column_empty():
     f = Functional(name="opaque", params={}, evaluate=lambda mu: 0.0)
     rows = convergence_study(f, make_sample([0.1, 0.9]), [1, 2])
     assert all(row.oracle_error is None for row in rows)
+
+
+def test_study_successive_differences_are_refinement_distances():
+    sample = random_sample(np.random.default_rng(21), size=96, weighted=True)
+    rows = convergence_study(VARIANCE, sample, range(2, 8))
+    _, report = refine_until_converged(VARIANCE, sample, tol=1e-300, n_min=2, n_max=7)
+    assert report.levels == tuple(row.level for row in rows)
+    assert len(report.distances) == 5
+    assert [row.successive_difference for row in rows[1:]] == list(report.distances)
 
 
 def test_study_rejects_bad_level_ranges():
