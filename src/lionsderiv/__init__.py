@@ -49,7 +49,6 @@ from .estimator import (
     StepSchedule,
     atom_shift_quotients,
     directional_derivative,
-    evaluate_g_tilde,
     g_tilde_values,
     lions_derivative_at_atom,
     lions_derivative_grid,

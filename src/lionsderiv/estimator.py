@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,7 @@ from .measure import (
     DiscreteMeasure,
     EmpiricalSample,
     QuantizationLevel,
+    _dyadic_floor,
     _weighted_l2,
     as_level,
     dyadic_quantize,
@@ -55,7 +57,6 @@ __all__ = [
     "atom_shift_quotients",
     "lions_derivative_at_atom",
     "lions_derivative_grid",
-    "evaluate_g_tilde",
     "g_tilde_values",
     "refine_until_converged",
     "partial_mass_perturbation",
@@ -161,7 +162,7 @@ class DerivativeEstimate:
     """Derivative values on the positive-mass atoms of a quantized law.
 
     Zero-mass grid cells are excluded here; the piecewise-constant extension
-    (:func:`evaluate_g_tilde`) returns 0 on them, so the L2(law) statements
+    (:func:`g_tilde_values`) is 0 on them, so the L2(law) statements
     stay meaningful and no quotient ever divides by a zero weight.  Atoms
     whose probes failed, or whose extrapolation is not finite, are listed in
     ``failed_atoms``; their entries are NaN.
@@ -186,13 +187,12 @@ class DerivativeEstimate:
             raise EstimatorError("grid_atoms, g_values, error_estimates lengths differ")
         if atoms.size > 1 and not np.all(np.diff(atoms) > 0):
             raise EstimatorError("grid_atoms must be strictly increasing")
-        scale = 2.0 ** self.level.n
-        for a in atoms:
-            s = float(a) * scale
-            if not (math.isfinite(s) and s == math.floor(s)):
-                raise EstimatorError(
-                    f"atom {a!r} is not on the level-{self.level.n} dyadic grid"
-                )
+        floored, finite = _dyadic_floor(atoms, self.level.n)
+        off_grid = atoms[~finite | (floored != atoms)]
+        if off_grid.size:
+            raise EstimatorError(
+                f"atom {off_grid[0]!r} is not on the level-{self.level.n} dyadic grid"
+            )
         ok = np.ones(errs.size, dtype=bool)
         ok[list(self.failed_atoms)] = False
         if np.any(errs[ok] < 0) or np.any(~np.isfinite(errs[ok])):
@@ -231,7 +231,8 @@ def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
 
 
 class _ShiftProbes:
-    """f at one-atom shifts of ``mu``, bit for bit as ``f(_shifted(mu, i, step))``.
+    """f at one-atom shifts of ``mu``, bit for bit as ``f(_shifted(mu, i, step))``,
+    and f(mu) itself, evaluated at most once.
 
     Canonical weights depend only on the weights, and a shifted atom that
     stays finite and strictly between its neighbours needs no sorting or
@@ -244,19 +245,24 @@ class _ShiftProbes:
     def __init__(self, f, mu: DiscreteMeasure):
         self.f = f
         self.mu = mu
-        canon = make_measure(mu.atoms, mu.weights)
-        # Canonicalization drops a weight only if it underflows to zero;
-        # atom indices then no longer line up.
-        self.canon = canon if canon.n_atoms == mu.n_atoms else None
-        self._atoms = canon.atoms.tolist()
+        # Atom indices line up: the atoms of mu are strictly increasing, and
+        # its weights sum to 1 within 1e-12, so renormalizing them cannot
+        # round one to zero.
+        self.canon = make_measure(mu.atoms, mu.weights)
+        self._atoms = self.canon.atoms.tolist()
         factory = getattr(f, "shift_evaluator", None)
-        self.shifted_value = (factory(canon) if factory is not None
-                              and self.canon is not None else None)
+        self.shifted_value = factory(self.canon) if factory is not None else None
+
+    @cached_property
+    def _base_value(self):
+        return self.f(self.mu)
+
+    def base(self) -> float:
+        """f(mu); a non-finite value fails every call that asks for it."""
+        return _finite(self._base_value, "the unperturbed measure")
 
     def _fast_position(self, i: int, step: float) -> float | None:
         """The shifted atom's position when it stays strictly inside its gap."""
-        if self.canon is None:
-            return None
         atoms = self._atoms
         y = atoms[i] + step + 0.0
         above_left = i == 0 or atoms[i - 1] < y
@@ -349,32 +355,25 @@ def _quotients(value_at: Callable[[float], float], steps, mode: str,
 
 def atom_shift_quotients(f, mu: DiscreteMeasure, i: int,
                          schedule: StepSchedule | None = None,
-                         base_value: float | None = None,
                          *, _probes: _ShiftProbes | None = None) -> np.ndarray:
     """Raw difference quotients at each schedule step, before extrapolation.
 
     In one_sided mode this is the literal Dirac-shift quotient
     [f(mu shifted) - f(mu)] / (eps * p_i) per step -- the fidelity surface
     the tests pin against hand-derived expansions.  ``_probes`` lets a
-    caller probing many atoms of one measure share its probe state.
+    caller probing many atoms of one measure share its probe state,
+    f(mu) included.
     """
     schedule = schedule if schedule is not None else StepSchedule()
     i = _check_index(mu, i)
     probes = _probes if _probes is not None else _ShiftProbes(f, mu)
-
-    def base() -> float:
-        if base_value is None:
-            return _finite(f(mu), "the unperturbed measure")
-        return float(base_value)
-
     return _quotients(lambda eps: probes.value(i, eps),
-                      schedule.steps(at=float(mu.atoms[i])), schedule.mode, base,
+                      schedule.steps(at=float(mu.atoms[i])), schedule.mode, probes.base,
                       scale=float(mu.weights[i]))
 
 
 def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
                              schedule: StepSchedule | None = None,
-                             base_value: float | None = None,
                              *, _probes: _ShiftProbes | None = None
                              ) -> tuple[float, float]:
     """Derivative of the functional at atom i of ``mu``.
@@ -390,8 +389,6 @@ def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
         Atom index; the atom necessarily has positive mass.
     schedule : StepSchedule, optional
         Defaults to ``StepSchedule()`` (central, eps0 = 1/8, 4 steps).
-    base_value : float, optional
-        Precomputed f(mu), reused across atoms in one_sided mode.
 
     Returns
     -------
@@ -405,8 +402,7 @@ def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
         When the functional returns a non-finite value at any probe.
     """
     schedule = schedule if schedule is not None else StepSchedule()
-    quots = atom_shift_quotients(f, mu, i, schedule, base_value=base_value,
-                                 _probes=_probes)
+    quots = atom_shift_quotients(f, mu, i, schedule, _probes=_probes)
     return _extrapolate(quots, schedule)
 
 
@@ -418,7 +414,9 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     Per-atom computations are independent and order-free.  An atom whose
     probe returns a non-finite value, or whose extrapolated value or error
     is not finite, is flagged (NaN entries plus ``failed_atoms``), never a
-    global abort.  An exception raised by the functional itself propagates.
+    global abort; so is an atom whose steps the cancellation floor raised
+    until they reach a neighbouring atom.  An exception raised by the
+    functional itself propagates.
     """
     level = as_level(level)
     schedule = schedule if schedule is not None else StepSchedule.for_level(level)
@@ -426,23 +424,18 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     g = np.full(mu.n_atoms, math.nan)
     err = np.full(mu.n_atoms, math.nan)
     failed: list[int] = []
-    base = None
-    if schedule.mode == "one_sided":
-        try:
-            base = _finite(f(mu), "the quantized law")
-        except ProbeFailureError:
-            # the shared base probe failed: every atom is flagged
-            return DerivativeEstimate(
-                level=level, grid_atoms=mu.atoms, g_values=g,
-                error_estimates=err, failed_atoms=tuple(range(mu.n_atoms)),
-            )
     probes = _ShiftProbes(f, mu)
+    # The floor grows with |x|: if it leaves the steps at the largest alone,
+    # it leaves them alone at every atom.
+    unfloored = schedule.steps(at=float(np.max(np.abs(mu.atoms))))[0] == schedule.eps0
     for i in range(mu.n_atoms):
-        try:
-            value, error = lions_derivative_at_atom(f, mu, i, schedule, base_value=base,
-                                                    _probes=probes)
-        except ProbeFailureError:
-            value = error = math.nan
+        value = error = math.nan
+        if unfloored or not _floor_reaches_neighbour(schedule, mu, i):
+            try:
+                value, error = lions_derivative_at_atom(f, mu, i, schedule,
+                                                        _probes=probes)
+            except ProbeFailureError:
+                pass  # flagged below
         if math.isfinite(value) and math.isfinite(error):
             g[i], err[i] = value, error
         else:
@@ -456,16 +449,26 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     )
 
 
+def _floor_reaches_neighbour(schedule: StepSchedule, mu: DiscreteMeasure,
+                             i: int) -> bool:
+    """Whether the cancellation floor raised the steps at atom i until the
+    largest reaches a neighbouring atom: the probes then reorder the atoms
+    and differentiate another measure.  Steps the caller chose that reach a
+    neighbour merge with it, as meant."""
+    eps = schedule.steps(at=float(mu.atoms[i]))[0]
+    if eps == schedule.eps0:
+        return False
+    return eps >= np.diff(mu.atoms[max(i - 1, 0):i + 2]).min(initial=math.inf)
+
+
 def _cell_index(level: QuantizationLevel, atoms: np.ndarray, xs) -> np.ndarray:
     """Index into ``atoms`` of each point's half-open level-n dyadic cell,
     -1 where that cell carries no atom (also where x * 2^n is not finite:
     far beyond any finite grid)."""
     xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = xs.ravel() * 2.0 ** level.n
-    cells = np.floor(scaled) * 2.0 ** -level.n
+    cells, finite = _dyadic_floor(xs.ravel(), level.n)
     j = np.searchsorted(atoms, cells)
-    hit = np.isfinite(scaled) & (j < atoms.size)
+    hit = finite & (j < atoms.size)
     hit[hit] = atoms[j[hit]] == cells[hit]
     return np.where(hit, j, -1).reshape(xs.shape)
 
@@ -480,14 +483,10 @@ def _on_cells(est: DerivativeEstimate, per_atom: np.ndarray, xs) -> np.ndarray:
 
 
 def g_tilde_values(est: DerivativeEstimate, xs) -> np.ndarray:
-    """Piecewise-constant extension evaluated at an array of points."""
+    """Piecewise-constant extension g-tilde at each point of ``xs``, a scalar
+    or an array: the estimate on the point's half-open dyadic cell, zero on
+    cells that carry no mass."""
     return _on_cells(est, est.g_values, xs)
-
-
-def evaluate_g_tilde(est: DerivativeEstimate, x: float) -> float:
-    """g-tilde at a point: the estimate on the point's half-open dyadic cell,
-    zero on cells that carry no mass."""
-    return float(g_tilde_values(est, np.array([float(x)]))[0])
 
 
 def _level_grids(f, sample: EmpiricalSample, levels, policy: SchedulePolicy):

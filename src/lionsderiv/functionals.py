@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .measure import DiscreteMeasure, mean
+from .measure import DiscreteMeasure, _exact_sum, mean
 
 __all__ = [
     "Functional",
@@ -88,33 +88,26 @@ class PotentialSpec:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x: float) -> float:
-        # Horner, highest degree first: deterministic evaluation order.
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
+    def values(self, xs):
+        """The polynomial at a scalar or elementwise on an array, by Horner's
+        rule, highest degree first: a fixed evaluation order.  Overflow gives
+        inf or NaN, silently."""
+        acc = np.zeros_like(xs, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in reversed(self.coefficients):
+                acc = acc * xs + c
         return acc
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """Elementwise Horner; same rounding as the scalar evaluation."""
-        acc = np.zeros_like(xs)
-        for c in reversed(self.coefficients):
-            acc = acc * xs + c
-        return acc
-
-    def derivative(self) -> "PotentialSpec":
-        if self.degree == 0:
-            return PotentialSpec((0.0,))
-        return PotentialSpec(
-            tuple(j * c for j, c in enumerate(self.coefficients) if j > 0)
-        )
+    def derivative(self) -> "PotentialSpec | None":
+        """The derivative polynomial; None when a coefficient overflows."""
+        coeffs = tuple(j * c for j, c in enumerate(self.coefficients) if j > 0) or (0.0,)
+        return PotentialSpec(coeffs) if all(math.isfinite(c) for c in coeffs) else None
 
     def max_abs_on(self, lo: float, hi: float, samples: int = 513) -> float:
         """Coarse bound for |phi| on [lo, hi] (tolerance bookkeeping only)."""
         if hi < lo:
             lo, hi = hi, lo
-        xs = np.linspace(lo, hi, samples)
-        return max(abs(self(float(x))) for x in xs)
+        return float(np.max(np.abs(self.values(np.linspace(lo, hi, samples)))))
 
 
 ShiftValue = Callable[[int, float], float | None]
@@ -126,8 +119,10 @@ class Functional:
 
     ``evaluate`` is pure and deterministic: identical canonical measures give
     bitwise-identical values.  ``analytic_derivative``, when present, is the
-    closed-form g(mu, x).  Equality compares name and params only, so a
-    registry round trip returns an equal functional.
+    closed form on arrays: ``analytic_derivative(mu, xs)`` returns g(mu, x)
+    at every point of the float array ``xs``, in its shape, computing a
+    per-measure constant such as the mean once.  Equality compares name and
+    params only, so a registry round trip returns an equal functional.
 
     ``shift_evaluator``, when present, makes the estimator's one-atom shift
     probes cheap.  ``shift_evaluator(canon)`` is called once per canonical
@@ -144,7 +139,7 @@ class Functional:
     name: str
     params: Mapping[str, Any]
     evaluate: Callable[[DiscreteMeasure], float] = field(compare=False, repr=False)
-    analytic_derivative: Callable[[DiscreteMeasure, float], float] | None = field(
+    analytic_derivative: Callable[[DiscreteMeasure, np.ndarray], np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
     smoothness_note: str = field(default="", compare=False)
@@ -159,11 +154,14 @@ class Functional:
     def has_closed_form(self) -> bool:
         return self.analytic_derivative is not None
 
-    def analytic_g(self, mu: DiscreteMeasure, x: float) -> float:
-        """Closed-form derivative at (mu, x); raises when there is none."""
+    def analytic_g(self, mu: DiscreteMeasure, xs) -> np.ndarray:
+        """Closed-form derivative of ``mu`` at each point of ``xs``, a scalar
+        or an array; raises when there is none.  Overflow gives inf or NaN,
+        silently."""
         if self.analytic_derivative is None:
             raise NoClosedFormError(f"functional {self.name!r} has no closed form")
-        return self.analytic_derivative(mu, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.analytic_derivative(mu, np.asarray(xs, dtype=float))
 
 
 class _ExactSum:
@@ -224,11 +222,15 @@ def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
     would form.
     """
 
+    def term_arrays(mu: DiscreteMeasure):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return terms(mu.weights, mu.atoms)
+
     def evaluate(mu: DiscreteMeasure) -> float:
-        return combine(*(math.fsum(t.tolist()) for t in terms(mu.weights, mu.atoms)))
+        return combine(*(_exact_sum(t.tolist()) for t in term_arrays(mu)))
 
     def shift_evaluator(canon: DiscreteMeasure) -> ShiftValue | None:
-        sums = [_ExactSum.of(t) for t in terms(canon.weights, canon.atoms)]
+        sums = [_ExactSum.of(t) for t in term_arrays(canon)]
         if any(s is None for s in sums):
             return None
         weights = canon.weights.tolist()
@@ -251,14 +253,14 @@ def make_linear(phi: PotentialSpec | tuple[float, ...] | list[float]) -> Functio
     evaluate, shift_evaluator = _sum_of_terms(
         lambda w, x: (w * spec.values(x),), lambda total: total)
 
-    def analytic(mu: DiscreteMeasure, x: float) -> float:
-        return dphi(float(x))
+    def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
+        return dphi.values(xs)
 
     return Functional(
         name="linear",
         params={"phi": spec.coefficients},
         evaluate=evaluate,
-        analytic_derivative=analytic,
+        analytic_derivative=None if dphi is None else analytic,
         smoothness_note="polynomial; smooth everywhere",
         shift_evaluator=shift_evaluator,
     )
@@ -268,8 +270,8 @@ def make_mean_square() -> Functional:
     """f(mu) = (mean of mu)^2; g(x) = 2 * mean(mu), constant in x."""
     evaluate, shift_evaluator = _sum_of_terms(lambda w, x: (w * x,), lambda m: m * m)
 
-    def analytic(mu: DiscreteMeasure, x: float) -> float:
-        return 2.0 * mean(mu)
+    def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
+        return np.full(xs.shape, 2.0 * mean(mu))
 
     return Functional(
         name="mean_square",
@@ -286,8 +288,8 @@ def make_variance() -> Functional:
     evaluate, shift_evaluator = _sum_of_terms(
         lambda w, x: (w * x, w * x * x), lambda m, sq: sq - m * m)
 
-    def analytic(mu: DiscreteMeasure, x: float) -> float:
-        return 2.0 * float(x) - 2.0 * mean(mu)
+    def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
+        return 2.0 * xs - 2.0 * mean(mu)
 
     return Functional(
         name="variance",
@@ -306,20 +308,24 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
 
     def evaluate(mu: DiscreteMeasure) -> float:
         xs = mu.atoms
-        diffs = xs[:, None] - xs[None, :]
-        terms = np.outer(mu.weights, mu.weights) * spec.values(diffs)
-        return math.fsum(terms.ravel().tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = xs[:, None] - xs[None, :]
+            terms = np.outer(mu.weights, mu.weights) * spec.values(diffs)
+        return _exact_sum(terms.ravel().tolist())
 
-    def analytic(mu: DiscreteMeasure, x: float) -> float:
-        x = float(x)
-        terms = mu.weights * (dw.values(x - mu.atoms) - dw.values(mu.atoms - x))
-        return math.fsum(terms.tolist())
+    def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
+        # One exact sum per point; an N x M matrix of terms would cost memory.
+        atoms, weights = mu.atoms, mu.weights
+        return np.array([
+            _exact_sum((weights * (dw.values(x - atoms) - dw.values(atoms - x))).tolist())
+            for x in xs.ravel().tolist()
+        ]).reshape(xs.shape)
 
     return Functional(
         name="interaction",
         params={"w": spec.coefficients},
         evaluate=evaluate,
-        analytic_derivative=analytic,
+        analytic_derivative=None if dw is None else analytic,
         smoothness_note="polynomial kernel; smooth everywhere",
     )
 

@@ -102,6 +102,26 @@ def _renormalize(weights: np.ndarray, what: str) -> np.ndarray:
     return weights / total
 
 
+def _set_weighted(obj, name: str) -> np.ndarray:
+    """Freeze ``obj.<name>`` and ``obj.weights`` as float arrays of matching
+    nonzero length, the weights positive and summing to 1 within 1e-12."""
+    points = _frozen(_as_float_array(getattr(obj, name), name))
+    weights = _frozen(_as_float_array(obj.weights, "weights"))
+    object.__setattr__(obj, name, points)
+    object.__setattr__(obj, "weights", weights)
+    if points.size == 0 or points.size != weights.size:
+        raise MeasureError(
+            f"need matching nonzero lengths, got {points.size} {name} "
+            f"and {weights.size} weights"
+        )
+    if not np.all(weights > 0):
+        raise MeasureError("weights must all be positive")
+    total = math.fsum(weights.tolist())
+    if abs(total - 1.0) > 1e-12:
+        raise MeasureError(f"weights must sum to 1 within 1e-12, got {total!r}")
+    return points
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Canonical finitely supported probability measure on the real line.
@@ -115,22 +135,9 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = _frozen(_as_float_array(self.atoms, "atoms"))
-        weights = _frozen(_as_float_array(self.weights, "weights"))
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        if atoms.size == 0 or atoms.size != weights.size:
-            raise MeasureError(
-                f"need matching nonzero lengths, got {atoms.size} atoms "
-                f"and {weights.size} weights"
-            )
+        atoms = _set_weighted(self, "atoms")
         if atoms.size > 1 and not np.all(np.diff(atoms) > 0):
             raise MeasureError("atoms must be strictly increasing")
-        if not np.all(weights > 0):
-            raise MeasureError("weights must all be positive")
-        total = math.fsum(weights.tolist())
-        if abs(total - 1.0) > 1e-12:
-            raise MeasureError(f"weights must sum to 1 within 1e-12, got {total!r}")
 
     @property
     def n_atoms(self) -> int:
@@ -153,20 +160,7 @@ class EmpiricalSample:
     weights: np.ndarray
 
     def __post_init__(self):
-        values = _frozen(_as_float_array(self.values, "values"))
-        weights = _frozen(_as_float_array(self.weights, "weights"))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-        if values.size == 0 or values.size != weights.size:
-            raise MeasureError(
-                f"need matching nonzero lengths, got {values.size} values "
-                f"and {weights.size} weights"
-            )
-        if not np.all(weights > 0):
-            raise MeasureError("weights must all be positive")
-        total = math.fsum(weights.tolist())
-        if abs(total - 1.0) > 1e-12:
-            raise MeasureError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        _set_weighted(self, "values")
 
     @property
     def size(self) -> int:
@@ -241,29 +235,16 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
     a = a[order]
     w = w[order]
 
-    if (a.size == 1 or np.all(np.diff(a) > 0)) and np.all(w > 0):
-        # no duplicates, no zero weights: grouping is the identity
-        atoms_arr, weights_arr = a, w
-    else:
-        merged_atoms: list[float] = []
-        merged_weights: list[float] = []
-        i = 0
-        size = a.size
-        while i < size:
-            j = i + 1
-            while j < size and a[j] == a[i]:
-                j += 1
-            mass = math.fsum(w[i:j].tolist())
-            if mass > 0.0:
-                merged_atoms.append(float(a[i]))
-                merged_weights.append(mass)
-            i = j
-        if not merged_atoms:
-            raise MeasureError("all weights are zero")
-        atoms_arr = np.array(merged_atoms, dtype=float)
-        weights_arr = np.array(merged_weights, dtype=float)
+    # Exactly equal atoms merge; the merged mass is the exact sum of theirs.
+    starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    ends = np.r_[starts[1:], a.size]
+    masses = w[starts]
+    for k in np.flatnonzero(ends - starts > 1).tolist():
+        masses[k] = math.fsum(w[starts[k]:ends[k]].tolist())
+    keep = masses > 0.0
+    atoms_arr, weights_arr = a[starts[keep]], masses[keep]
 
-    # shared final normalization so both paths agree bit for bit
+    # normalized once more after merging: canonical weights keep these bits
     total = math.fsum(weights_arr.tolist())
     return DiscreteMeasure(atoms_arr, weights_arr / total)
 
@@ -319,16 +300,22 @@ def dyadic_quantize(sample: EmpiricalSample,
         Same weights, values floored to the level-n grid.
     """
     n = as_level(level).n
-    values = sample.values
-    with np.errstate(over="ignore"):
-        scaled = values * 2.0 ** n
-    overflow = ~np.isfinite(scaled)
-    if overflow.any():
-        k = int(np.flatnonzero(overflow)[0])
+    floored, finite = _dyadic_floor(sample.values, n)
+    overflowing = sample.values[~finite]
+    if overflowing.size:
         raise MeasureError(
-            f"value {values[k]!r} overflows at quantization level {n}"
+            f"value {overflowing[0]!r} overflows at quantization level {n}"
         )
-    return EmpiricalSample(np.floor(scaled) * 2.0 ** -n, sample.weights)
+    return EmpiricalSample(floored, sample.weights)
+
+
+def _dyadic_floor(xs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """floor(x * 2^n) * 2^-n elementwise, the left end of each point's
+    half-open level-n cell, plus the mask of points whose scaled value
+    x * 2^n is finite; elsewhere the floored value is meaningless."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.asarray(xs, dtype=float) * 2.0 ** n
+    return np.floor(scaled) * 2.0 ** -n, np.isfinite(scaled)
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:
@@ -384,6 +371,15 @@ def _weighted_l2(weights: np.ndarray, d: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         terms = weights * d * d
     return math.sqrt(max(math.fsum(terms.tolist()), 0.0))
+
+
+def _exact_sum(terms: list[float]) -> float:
+    """``math.fsum`` of the terms, or NaN where it has no finite answer to
+    give: the terms hold both +inf and -inf, or a partial sum overflows."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def mean(mu: DiscreteMeasure) -> float:

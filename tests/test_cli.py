@@ -2,6 +2,10 @@
 round-trips of the emitted files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,16 @@ def workdir(tmp_path, monkeypatch):
 def write(path, text):
     path.write_text(text)
     return str(path.name)
+
+
+def run_cli(*args):
+    """The CLI as a process of its own, so its stderr is what a user sees,
+    numpy warnings included."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "lionsderiv", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +317,45 @@ def test_estimate_flags_non_finite_extrapolation(workdir):
     report = json.loads((workdir / "estimate.report.json").read_text(),
                         parse_constant=reject)
     assert report["failed_atoms"] == list(range(report["n_atoms"])) == [0, 1]
+
+
+@pytest.mark.parametrize("values, phi", [
+    ("-10.0\n10.0\n", "[0,1e308]"),     # per-atom terms +inf and -inf
+    ("0.0\n1.0\n", "[1e308,1e308]"),    # overflow inside Horner's rule
+])
+def test_estimate_overflow_flags_atoms_with_a_clean_stderr(workdir, values, phi):
+    inp = write(workdir / "s.csv", values)
+    proc = run_cli("estimate", "--input", inp, "--functional",
+                   f'{{"name":"linear","phi":{phi}}}', "--level", "2")
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == 3
+    report = json.loads((workdir / "estimate.report.json").read_text())
+    assert report["failed_atoms"] == [0, 1]
+
+
+@pytest.mark.parametrize("spec", [
+    '{"name":"linear","phi":[0,0,1e308]}',     # the derivative 2e308 x overflows
+    '{"name":"interaction","w":[0,0,1e308]}',
+])
+def test_verify_skips_oracle_when_the_derivative_overflows(workdir, spec):
+    inp = write(workdir / "s.csv", BALANCED)
+    assert main(["verify", "--input", inp, "--functional", spec]) in (0, 4)
+    report = json.loads((workdir / "verify_report.json").read_text())
+    oracle = report["checks"][-1]
+    assert oracle["name"] == "oracle_comparison"
+    assert oracle["status"] == "skipped"
+    assert "no closed form" in oracle["reason"]
+
+
+def test_verify_oracle_without_a_finite_third_derivative(workdir):
+    # phi = 1e306 x^10 has a finite derivative, but the Taylor bound needs
+    # the third one, 720e306 x^7, which overflows: the generic rule applies.
+    inp = write(workdir / "s.csv", BALANCED)
+    spec = '{"name":"linear","phi":[0,0,0,0,0,0,0,0,0,0,1e306]}'
+    assert main(["verify", "--input", inp, "--functional", spec]) in (0, 4)
+    report = json.loads((workdir / "verify_report.json").read_text())
+    oracle = report["checks"][-1]
+    assert oracle["details"]["tolerance_rule"].startswith("generic")
 
 
 def test_flags_override_config(workdir):

@@ -24,7 +24,6 @@ from lionsderiv import (
     StepSchedule,
     atom_shift_quotients,
     directional_derivative,
-    evaluate_g_tilde,
     g_tilde_values,
     law_of,
     lions_derivative_at_atom,
@@ -236,6 +235,45 @@ def test_grid_flags_non_finite_extrapolation_per_atom():
     assert np.all(np.isnan(est.error_estimates))
 
 
+def test_one_sided_grid_with_failing_base_flags_every_atom_evaluating_once():
+    sample = make_sample([0.0, 0.25, 0.5, 1.0])  # on the level-2 grid
+    law = law_of(sample)
+    evaluated = []
+
+    def nan_at_base(mu):
+        evaluated.append(mu)
+        return math.nan if np.array_equal(mu.atoms, law.atoms) else VARIANCE(mu)
+
+    f = Functional(name="nan_at_base", params={}, evaluate=nan_at_base)
+    est = lions_derivative_grid(f, sample, 2, StepSchedule.for_level(2, mode="one_sided"))
+    assert est.failed_atoms == (0, 1, 2, 3)
+    assert np.all(np.isnan(est.g_values)) and np.all(np.isnan(est.error_estimates))
+    assert len(evaluated) == 1  # f(mu) once, and no probe after it failed
+
+
+def test_grid_flags_opposite_infinite_terms_per_atom():
+    # phi(x) = 1e308 x is -inf and +inf at the two atoms
+    est = lions_derivative_grid(make_linear([0.0, 1e308]), make_sample([-10.0, 10.0]), 2)
+    assert est.failed_atoms == (0, 1)
+    assert np.all(np.isnan(est.g_values))
+
+
+def test_grid_flags_atoms_whose_floored_steps_reach_a_neighbour():
+    # At |x| = 1e6 the relative step floor raises the level-20 steps to
+    # (8e-3, ..., 1e-3), far past the 2^-20 gap between these atoms; the
+    # unflagged quotients came out near +-0.5 against an oracle of +-2e-6.
+    values = [1e6 + k * 2.0 ** -20 for k in range(3)]
+    est = lions_derivative_grid(VARIANCE, make_sample(values), 20)
+    assert est.grid_atoms.tolist() == values
+    assert est.failed_atoms == (0, 1, 2)
+    assert np.all(np.isnan(est.g_values))
+    # Steps the caller chose that reach a neighbour merge with it instead.
+    merged = lions_derivative_grid(make_linear([0.0, 1.0]), make_sample([0.0, 1.0]), 0,
+                                   StepSchedule(eps0=1.0, count=2))
+    assert merged.failed_atoms == ()
+    assert merged.g_values.tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
 def test_estimate_invariant_validation():
     with pytest.raises(EstimatorError):
         DerivativeEstimate(
@@ -264,10 +302,9 @@ def test_g_tilde_cell_membership():
         g_values=np.array([-1.0, 1.0]),
         error_estimates=np.array([0.0, 0.0]),
     )
-    assert evaluate_g_tilde(est, 0.3) == -1.0      # inside [0, 0.5)
-    assert evaluate_g_tilde(est, 0.5) == 0.0       # zero-mass cell
-    assert evaluate_g_tilde(est, 1.0) == 1.0       # exactly at a grid atom
-    assert evaluate_g_tilde(est, -0.2) == 0.0      # zero-mass cell below
+    # inside [0, 0.5), a zero-mass cell, exactly at a grid atom, and a
+    # zero-mass cell below the grid
+    assert g_tilde_values(est, [0.3, 0.5, 1.0, -0.2]).tolist() == [-1.0, 0.0, 1.0, 0.0]
     got = g_tilde_values(est, np.array([0.0, 0.49, 1.49, 2.0]))
     assert got.tolist() == [-1.0, -1.0, 1.0, 0.0]
 

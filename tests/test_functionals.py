@@ -118,6 +118,26 @@ def test_analytic_g_matches_independent_finite_difference(builder):
             assert fd == pytest.approx(exact, abs=1e-6, rel=1e-6)
 
 
+def test_opposite_infinite_terms_sum_to_nan():
+    # Terms +inf and -inf have no exact sum; math.fsum raises on them.
+    mu = make_measure([-10.0, 10.0], [0.5, 0.5])
+    assert math.isnan(make_linear([0.0, 1e308])(mu))
+    assert math.isnan(make_interaction([0.0, 1e308])(mu))
+    assert math.isnan(make_interaction([0.0, 0.0, 1e307]).analytic_g(mu, 0.0))
+
+
+@pytest.mark.parametrize("config", [
+    {"name": "linear", "phi": [0, 0, 1e308]},
+    {"name": "interaction", "w": [0, 0, 1e308]},
+])
+def test_overflowing_derivative_leaves_the_closed_form_out(config):
+    f = functional_from_config(config)
+    assert math.isfinite(f(HALF_HALF))
+    assert not f.has_closed_form
+    with pytest.raises(NoClosedFormError):
+        f.analytic_g(HALF_HALF, 0.0)
+
+
 def test_interaction_square_kernel_equals_variance_everywhere():
     inter = make_interaction([0.0, 0.0, 0.5])
     var = make_variance()
@@ -134,10 +154,11 @@ def test_interaction_square_kernel_equals_variance_everywhere():
 
 def test_potential_evaluation_and_derivative():
     phi = PotentialSpec((1.0, 2.0, 3.0))  # 1 + 2x + 3x^2
-    assert phi(2.0) == 1.0 + 4.0 + 12.0
+    assert phi.values(2.0) == 1.0 + 4.0 + 12.0
     dphi = phi.derivative()
     assert dphi.coefficients == (2.0, 6.0)
     assert PotentialSpec((4.0,)).derivative().coefficients == (0.0,)
+    assert PotentialSpec((0.0, 0.0, 1e308)).derivative() is None  # 2e308 overflows
 
 
 def test_potential_degree_cap():

@@ -1,5 +1,6 @@
 """Hypothesis invariants for the measure layer, the quantizer, the cell
-lookup, the weighted-L2 helper and the one-atom shift probes."""
+lookup, the weighted-L2 helper, the one-atom shift probes and the closed
+forms on arrays."""
 
 import math
 import random
@@ -22,6 +23,7 @@ from lionsderiv import (
     dyadic_quantize,
     g_tilde_values,
     law_of,
+    make_interaction,
     make_linear,
     make_mean_square,
     make_measure,
@@ -265,7 +267,7 @@ def test_shift_quotients_match_full_canonicalization(case, f, mode, count):
 
 
 # ---------------------------------------------------------------------------
-# vectorised dyadic cells against the per-point loops they replaced
+# vectorised dyadic cells and merging against the loops they replaced
 # ---------------------------------------------------------------------------
 
 def _loop_quantize(values, n):
@@ -319,6 +321,39 @@ def test_vectorised_g_tilde_matches_loop(sample, n, xs):
     assert at_one.shape == () and _bits(at_one) == _bits(_loop_g_tilde(est, points[:1]))
 
 
+def _loop_make_measure(atoms, weights):
+    """make_measure's former merge loop: sorted atoms grouped one by one."""
+    w = weights / math.fsum(weights.tolist())
+    order = np.argsort(atoms, kind="stable")
+    a, w = atoms[order], w[order]
+    merged_atoms, merged_weights = [], []
+    i = 0
+    while i < a.size:
+        j = i + 1
+        while j < a.size and a[j] == a[i]:
+            j += 1
+        mass = math.fsum(w[i:j].tolist())
+        if mass > 0.0:
+            merged_atoms.append(float(a[i]))
+            merged_weights.append(mass)
+        i = j
+    mw = np.array(merged_weights)
+    return np.array(merged_atoms), mw / math.fsum(mw.tolist())
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.one_of(st.just(0.0), raw_weights)),
+                min_size=1, max_size=16).filter(lambda ps: any(w for _, w in ps)))
+@settings(max_examples=200, deadline=None)
+def test_vectorised_merge_matches_loop(pairs):
+    atoms = np.array([k * 0.375 for k, _ in pairs])
+    raw = np.array([w for _, w in pairs])
+    weights = raw / math.fsum(raw.tolist())
+    got = make_measure(atoms, weights)
+    want_atoms, want_weights = _loop_make_measure(atoms, weights)
+    assert _bits(got.atoms) == _bits(want_atoms)
+    assert _bits(got.weights) == _bits(want_weights)
+
+
 @given(st.lists(st.tuples(raw_weights, st.one_of(wide_values, st.just(math.nan))),
                 min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
@@ -328,3 +363,53 @@ def test_weighted_l2_matches_loop(pairs):
     loop = math.sqrt(max(math.fsum(float(w) * float(x) * float(x)
                                    for w, x in zip(weights, d)), 0.0))
     assert _bits(_weighted_l2(weights, d)) == _bits(loop)
+
+
+# ---------------------------------------------------------------------------
+# closed forms on arrays against the per-point scalar code they replaced
+# ---------------------------------------------------------------------------
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _loop_analytic_g(f, mu, xs):
+    """g(mu, x) one point at a time in Python floats, as the built-ins
+    computed it before they took arrays."""
+    coeffs = f.params.get("phi", f.params.get("w", ()))
+    d = [j * c for j, c in enumerate(coeffs) if j > 0] or [0.0]
+    m = math.fsum(float(p) * float(a) for p, a in zip(mu.weights, mu.atoms))
+    out = []
+    for x in xs:
+        if f.name == "variance":
+            out.append(2.0 * x - 2.0 * m)
+        elif f.name == "mean_square":
+            out.append(2.0 * m)
+        elif f.name == "linear":
+            out.append(_horner(d, x))
+        else:
+            terms = [float(p) * (_horner(d, x - float(a)) - _horner(d, float(a) - x))
+                     for p, a in zip(mu.weights, mu.atoms)]
+            try:
+                out.append(math.fsum(terms))
+            except ValueError:  # +inf and -inf terms: no exact sum
+                out.append(math.nan)
+    return out
+
+
+small_coefficients = st.lists(st.integers(-2, 2), min_size=1, max_size=11)
+
+
+@given(measures(),
+       st.one_of(st.just(make_variance()), st.just(make_mean_square()),
+                 small_coefficients.map(make_linear),
+                 small_coefficients.map(make_interaction)),
+       st.lists(st.one_of(finite_values, wide_values), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_analytic_g_on_arrays_matches_scalar_loop(mu, f, xs):
+    got = f.analytic_g(mu, np.array(xs, dtype=float))
+    assert got.shape == (len(xs),)
+    assert _bits(got) == _bits(np.array(_loop_analytic_g(f, mu, xs), dtype=float))
