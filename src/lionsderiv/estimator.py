@@ -425,12 +425,9 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     err = np.full(mu.n_atoms, math.nan)
     failed: list[int] = []
     probes = _ShiftProbes(f, mu)
-    # The floor grows with |x|: if it leaves the steps at the largest alone,
-    # it leaves them alone at every atom.
-    unfloored = schedule.steps(at=float(np.max(np.abs(mu.atoms))))[0] == schedule.eps0
     for i in range(mu.n_atoms):
         value = error = math.nan
-        if unfloored or not _floor_reaches_neighbour(schedule, mu, i):
+        if not _floor_reaches_neighbour(schedule, mu, i):
             try:
                 value, error = lions_derivative_at_atom(f, mu, i, schedule,
                                                         _probes=probes)
@@ -452,13 +449,15 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
 def _floor_reaches_neighbour(schedule: StepSchedule, mu: DiscreteMeasure,
                              i: int) -> bool:
     """Whether the cancellation floor raised the steps at atom i until the
-    largest reaches a neighbouring atom: the probes then reorder the atoms
-    and differentiate another measure.  Steps the caller chose that reach a
+    largest reaches a neighbouring atom on a side the probes shift to (the
+    right one-sided, both central): the probes then reorder the atoms and
+    differentiate another measure.  Steps the caller chose that reach a
     neighbour merge with it, as meant."""
     eps = schedule.steps(at=float(mu.atoms[i]))[0]
     if eps == schedule.eps0:
         return False
-    return eps >= np.diff(mu.atoms[max(i - 1, 0):i + 2]).min(initial=math.inf)
+    lo = i if schedule.mode == "one_sided" else max(i - 1, 0)
+    return eps >= np.diff(mu.atoms[lo:i + 2]).min(initial=math.inf)
 
 
 def _cell_index(level: QuantizationLevel, atoms: np.ndarray, xs) -> np.ndarray:

@@ -267,6 +267,12 @@ def test_grid_flags_atoms_whose_floored_steps_reach_a_neighbour():
     assert est.grid_atoms.tolist() == values
     assert est.failed_atoms == (0, 1, 2)
     assert np.all(np.isnan(est.g_values))
+    # One-sided probes shift only to the right: the last atom has no right
+    # neighbour to reach and keeps its value.
+    one_sided = lions_derivative_grid(VARIANCE, make_sample(values[:2]), 20,
+                                      StepSchedule.for_level(20, mode="one_sided"))
+    assert one_sided.failed_atoms == (0,)
+    assert np.isfinite(one_sided.g_values[1])
     # Steps the caller chose that reach a neighbour merge with it instead.
     merged = lions_derivative_grid(make_linear([0.0, 1.0]), make_sample([0.0, 1.0]), 0,
                                    StepSchedule(eps0=1.0, count=2))
