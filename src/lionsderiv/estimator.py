@@ -75,7 +75,9 @@ class EstimatorError(ValueError):
 
 
 class ProbeFailureError(RuntimeError):
-    """The functional returned a non-finite value at a probe measure."""
+    """A probe gave no finite difference quotient: the functional returned a
+    non-finite value at a probe measure, or a step times the atom's weight
+    underflows to 0."""
 
 
 @dataclass(frozen=True)
@@ -337,15 +339,21 @@ def _quotients(value_at: Callable[[float], float], steps, mode: str,
     (2 eps * scale) central, at each step; +eps is probed before -eps.
 
     ``base`` is called once, before any probe, and only in one-sided mode.
+    A denominator that underflows to 0 raises :class:`ProbeFailureError`
+    before any probe.
     """
+    one_sided = mode == "one_sided"
+    denominators = [(eps if one_sided else 2.0 * eps) * scale for eps in steps]
+    if 0.0 in denominators:
+        raise ProbeFailureError(f"a step times the weight {scale!r} underflows to 0")
     quots = np.empty(len(steps))
-    if mode == "one_sided":
+    if one_sided:
         b = base()
-        for k, eps in enumerate(steps):
-            quots[k] = (value_at(eps) - b) / (eps * scale)
+        for k, (eps, d) in enumerate(zip(steps, denominators)):
+            quots[k] = (value_at(eps) - b) / d
     else:
-        for k, eps in enumerate(steps):
-            quots[k] = (value_at(eps) - value_at(-eps)) / (2.0 * eps * scale)
+        for k, (eps, d) in enumerate(zip(steps, denominators)):
+            quots[k] = (value_at(eps) - value_at(-eps)) / d
     return quots
 
 

@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .measure import DiscreteMeasure, _exact_sum, mean
+from .measure import DiscreteMeasure, _exact_groups, _exact_sum, mean
 
 __all__ = [
     "Functional",
@@ -130,10 +130,14 @@ class Functional:
     ``evaluate(canon with atom i moved to y)`` bit for bit, weights kept,
     for every finite ``y`` strictly between atoms i-1 and i+1.  ``value``
     returns None to decline one probe and the factory returns None to
-    decline a base measure; declined probes are evaluated in full.  A
-    functional added with :func:`register` opts in by passing
-    ``shift_evaluator=`` to its ``Functional``; left None, every probe is
-    evaluated in full.
+    decline a base measure; declined probes are evaluated in full.  The
+    built-ins all have one: ``linear``, ``mean_square`` and ``variance``
+    re-sum in O(1) per probe, ``interaction`` in O(M) for M atoms, where a
+    full evaluation costs O(M) and O(M^2).  Both rest on exact summation:
+    the exactly rounded sum of the base terms with some swapped for new ones
+    is the sum a full evaluation forms.  A functional added with
+    :func:`register` opts in by passing ``shift_evaluator=`` to its
+    ``Functional``; left None, every probe is evaluated in full.
     """
 
     name: str
@@ -165,51 +169,41 @@ class Functional:
 
 
 class _ExactSum:
-    """Exact sum of per-atom terms, re-summed with one term replaced in O(1).
+    """Exact sum of a term array, re-summed with a few terms swapped.
 
-    ``partials`` are Shewchuk's non-overlapping partials of the terms
-    ("Adaptive Precision Floating-Point Arithmetic", 1997, the algorithm
-    behind ``math.fsum``): a short list whose exact sum is the exact sum of
-    the terms.  ``math.fsum`` returns the correctly rounded exact sum of its
-    inputs, so ``fsum(partials + [-old, new])`` is bitwise equal to ``fsum``
-    over the full term list with ``old`` replaced by ``new``.
+    ``partials`` are a few nonzero floats, largest first, whose exact sum is
+    the exact sum of the terms: the exact per-exponent group sums of
+    :func:`~lionsderiv.measure._exact_sum`, rounded off one float at a time.
+    ``math.fsum`` returns the correctly rounded exact sum of its inputs, so
+    ``fsum(partials + [-old..., new...])`` is bitwise equal to ``fsum`` over
+    the full term array with the old terms replaced by the new ones, at a
+    cost set by the number of terms swapped, not by the length of the array.
     """
 
-    def __init__(self, terms: list[float], partials: list[float]):
-        self.terms = terms
+    def __init__(self, partials: list[float]):
         self.partials = partials
 
     @classmethod
     def of(cls, terms: np.ndarray) -> "_ExactSum | None":
-        """None when a term is non-finite or the partials overflow."""
-        values = terms.tolist()
+        """None when a term is not finite or the terms could overflow."""
+        rest = _exact_groups(terms)
+        if rest is None:
+            return None
         partials: list[float] = []
-        for x in values:
-            i = 0
-            for y in partials:
-                if abs(x) < abs(y):
-                    x, y = y, x
-                hi = x + y
-                lo = y - (hi - x)
-                if lo:
-                    partials[i] = lo
-                    i += 1
-                x = hi
-            partials[i:] = [x]
-        if not all(math.isfinite(v) for v in partials):
-            return None
-        return cls(values, partials)
+        while p := math.fsum(rest):
+            partials.append(p)
+            rest.append(-p)
+        return cls(partials)
 
-    def replaced(self, i: int, new: float) -> float | None:
-        """Sum with term i replaced by ``new``; None when ``new`` is not
-        finite or the sum overflows, where a full ``fsum`` could flag the
-        probe or raise differently."""
-        if not math.isfinite(new):
-            return None
+    def plus(self, terms: list[float]) -> float | None:
+        """Sum with ``terms`` added; None when it is not finite or fsum
+        raises, where a full evaluation could flag the probe or fail
+        differently."""
         try:
-            return math.fsum(self.partials + [-self.terms[i], new])
-        except OverflowError:
+            total = math.fsum(self.partials + terms)
+        except (ValueError, OverflowError):
             return None
+        return total if math.isfinite(total) else None
 
 
 def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
@@ -227,16 +221,19 @@ def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
             return terms(mu.weights, mu.atoms)
 
     def evaluate(mu: DiscreteMeasure) -> float:
-        return combine(*(_exact_sum(t.tolist()) for t in term_arrays(mu)))
+        return combine(*(_exact_sum(t) for t in term_arrays(mu)))
 
     def shift_evaluator(canon: DiscreteMeasure) -> ShiftValue | None:
-        sums = [_ExactSum.of(t) for t in term_arrays(canon)]
+        arrays = term_arrays(canon)
+        sums = [_ExactSum.of(t) for t in arrays]
         if any(s is None for s in sums):
             return None
+        olds = [t.tolist() for t in arrays]
         weights = canon.weights.tolist()
 
         def value(i: int, y: float) -> float | None:
-            totals = [s.replaced(i, t) for s, t in zip(sums, terms(weights[i], y))]
+            totals = [s.plus([-old[i], t])
+                      for s, old, t in zip(sums, olds, terms(weights[i], y))]
             if any(t is None for t in totals):
                 return None
             return combine(*totals)
@@ -306,18 +303,41 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
     spec = w if isinstance(w, PotentialSpec) else PotentialSpec(tuple(w))
     dw = spec.derivative()
 
-    def evaluate(mu: DiscreteMeasure) -> float:
+    def pair_terms(mu: DiscreteMeasure) -> np.ndarray:
         xs = mu.atoms
         with np.errstate(over="ignore", invalid="ignore"):
-            diffs = xs[:, None] - xs[None, :]
-            terms = np.outer(mu.weights, mu.weights) * spec.values(diffs)
-        return _exact_sum(terms.ravel().tolist())
+            return np.outer(mu.weights, mu.weights) * spec.values(xs[:, None] - xs[None, :])
+
+    def evaluate(mu: DiscreteMeasure) -> float:
+        return _exact_sum(pair_terms(mu))
+
+    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValue | None:
+        terms = pair_terms(canon)
+        total = _ExactSum.of(terms)
+        if total is None:
+            return None
+        atoms, weights = canon.atoms, canon.weights
+        line_weights = np.concatenate((weights, weights))
+
+        def value(i: int, y: float) -> float | None:
+            # Moving atom i changes row i, (w_i*w_k) * w(y - x_k), and
+            # column i, (w_k*w_i) * w(x_k - y), of the M x M terms.  Both
+            # lines hold the diagonal term w_i^2 * w(0), whose bits do not
+            # change, so swapping both whole lines is exact.
+            moved = atoms.copy()
+            moved[i] = y
+            with np.errstate(over="ignore", invalid="ignore"):
+                added = (weights[i] * line_weights) * spec.values(
+                    np.concatenate((y - moved, moved - y)))
+            return total.plus(np.concatenate((added, -terms[i], -terms[:, i])).tolist())
+
+        return value
 
     def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
         # One exact sum per point; an N x M matrix of terms would cost memory.
         atoms, weights = mu.atoms, mu.weights
         return np.array([
-            _exact_sum((weights * (dw.values(x - atoms) - dw.values(atoms - x))).tolist())
+            _exact_sum(weights * (dw.values(x - atoms) - dw.values(atoms - x)))
             for x in xs.ravel().tolist()
         ]).reshape(xs.shape)
 
@@ -327,6 +347,7 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
         evaluate=evaluate,
         analytic_derivative=None if dw is None else analytic,
         smoothness_note="polynomial kernel; smooth everywhere",
+        shift_evaluator=shift_evaluator,
     )
 
 

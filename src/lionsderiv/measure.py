@@ -15,11 +15,14 @@ Plus the operations the rest of the package is built on: canonicalization
 quantization to the grid {i * 2^-n} (``dyadic_quantize``), the exact 1-D
 quantile-coupling Wasserstein-2 distance (``wasserstein2``), and the mean.
 
-Numerical policy: every weighted sum is formed with ``math.fsum`` (exactly
-rounded, hence order-independent and bit-stable across runs), and atom
-merging uses exact float equality only.  Both choices are deliberate: they
-make law-level computations bitwise invariant under permutations and exact
-weight splittings of the underlying sample.
+Numerical policy: every weighted sum is exactly rounded, hence
+order-independent and bit-stable across runs, and atom merging uses exact
+float equality only.  Both choices are deliberate: they make law-level
+computations bitwise invariant under permutations and exact weight
+splittings of the underlying sample.  Sums of term arrays go through
+``_exact_sum``, which adds the terms exactly per exponent on the array and
+rounds once, so it returns ``math.fsum``'s answer bit for bit without
+turning every term into a Python float.
 
 Note on the atomless carrier: a genuinely atomic probability space (e.g. a
 two-point space with unequal masses) cannot be expressed here -- sample
@@ -370,14 +373,57 @@ def _weighted_l2(weights: np.ndarray, d: np.ndarray) -> float:
     ``d`` under the weights.  Overflow gives inf, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = weights * d * d
-    return math.sqrt(max(math.fsum(terms.tolist()), 0.0))
+    total = _exact_sum(terms)
+    if math.isnan(total) and not np.isnan(terms).any():
+        total = math.inf  # the terms are >= 0, so only their sum overflowed
+    return math.sqrt(max(total, 0.0))
 
 
-def _exact_sum(terms: list[float]) -> float:
-    """``math.fsum`` of the terms, or NaN where it has no finite answer to
-    give: the terms hold both +inf and -inf, or a partial sum overflows."""
+# Exact sums of term arrays.  The terms are grouped by exponent, and each
+# term is split into its leading 27 and its trailing 26 significant bits;
+# ``np.bincount`` adds each part per exponent.  In units of the group's last
+# place, a leading part is a multiple of 2^26 below 2^53, i.e. fewer than
+# 2^27 steps of 2^26, and a trailing part is a whole number below 2^26.  So
+# with fewer than 2^26 terms every running group sum is a whole number of
+# steps below 2^53 and no addition rounds: the group sums are exact.  One
+# ``math.fsum`` over those few dozen floats rounds their exact total once,
+# which gives the correctly rounded sum of the terms, as fsum over the terms
+# does.
+_TRAILING = np.uint64((1 << 26) - 1)
+_EXPONENT = 0x7FF
+_MAX_TERMS = 1 << 26
+
+
+def _exact_groups(terms) -> list[float] | None:
+    """Nonzero floats, at most two per exponent of the terms, whose exact
+    sum is the exact sum of ``terms``; None where a term is not finite or the
+    terms are so large that a partial sum of ``math.fsum`` could overflow."""
+    terms = np.asarray(terms, dtype=float).ravel()
+    if terms.size >= _MAX_TERMS:
+        return None
+    bits = terms.view(np.uint64)
+    exponent = (bits >> np.uint64(52)).view(np.int64) & _EXPONENT
+    leading = (bits & ~_TRAILING).view(np.float64)
+    leading_sums = np.bincount(exponent, weights=leading)
+    # Each term lies below 2^(e - 1022) for its biased exponent e; beyond
+    # 2^1020 in total an fsum partial could overflow (e = 2047: inf or NaN).
+    if leading_sums.size - 1 - 1022 + terms.size.bit_length() > 1020:
+        return None
+    trailing_sums = np.bincount(exponent, weights=terms - leading)
+    groups = np.concatenate((leading_sums, trailing_sums))
+    return groups[groups != 0].tolist()
+
+
+def _exact_sum(terms) -> float:
+    """``math.fsum`` of an array of terms, bit for bit, or NaN where fsum
+    raises: the terms hold both +inf and -inf, or a partial sum overflows.
+    Only where a term is not finite or the terms come near the overflow
+    threshold does fsum run over the terms themselves."""
+    groups = _exact_groups(terms)
+    if groups is not None:
+        return math.fsum(groups)
     try:
-        return math.fsum(terms)
+        return math.fsum(np.asarray(terms, dtype=float).ravel().tolist())
     except (ValueError, OverflowError):
         return math.nan
 

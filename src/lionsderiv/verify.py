@@ -127,11 +127,11 @@ def check_structure(f: Functional, sample: EmpiricalSample,
         with np.errstate(over="ignore", invalid="ignore"):
             pairing = weights * gvals * eta
             spread = weights * np.abs(eta) * evals
-        rhs = _exact_sum(pairing.tolist())
+        rhs = _exact_sum(pairing)
         eta_norm = _weighted_l2(weights, eta)
         denom = max(abs(lhs), abs(rhs), g_norm * eta_norm, _TINY)
         rel = abs(lhs - rhs) / denom
-        err_bound = _exact_sum(spread.tolist()) / denom
+        err_bound = _exact_sum(spread) / denom
         rels.append(rel)
         worst_err_bound = max(worst_err_bound, err_bound)
         cases.append({

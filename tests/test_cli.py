@@ -34,6 +34,10 @@ def write(path, text):
     return str(path.name)
 
 
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def run_cli(*args):
     """The CLI as a process of its own, so its stderr is what a user sees,
     numpy warnings included."""
@@ -292,30 +296,24 @@ def test_level_beyond_float_range_exits_2(workdir, capsys, levels):
 
 
 def test_verify_report_is_strict_json_for_non_finite_results(workdir):
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
     inp = write(workdir / "s.csv", "1e30\n-2e30\n3e30\n")
     code = main(["verify", "--input", inp, "--functional",
                  '{"name":"linear","phi":[0,0,0,0,0,0,0,0,0,0,1]}', "--level", "2",
                  "--out", "v.json"])
     assert code == 4
-    report = json.loads((workdir / "v.json").read_text(), parse_constant=reject)
+    report = json.loads((workdir / "v.json").read_text(), parse_constant=_reject_constant)
     oracle = next(c for c in report["checks"] if c["name"] == "oracle_comparison")
     assert oracle["status"] == "fail"
     assert oracle["details"]["l2_law_error"] is None
 
 
 def test_estimate_flags_non_finite_extrapolation(workdir):
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
     inp = write(workdir / "s.csv", "0.0\n0.5\n")
     code = main(["estimate", "--input", inp, "--functional",
                  '{"name":"linear","phi":[1e308,1e308]}', "--level", "2"])
     assert code == 3
     report = json.loads((workdir / "estimate.report.json").read_text(),
-                        parse_constant=reject)
+                        parse_constant=_reject_constant)
     assert report["failed_atoms"] == list(range(report["n_atoms"])) == [0, 1]
 
 
@@ -331,6 +329,29 @@ def test_estimate_overflow_flags_atoms_with_a_clean_stderr(workdir, values, phi)
     assert proc.returncode == 3
     report = json.loads((workdir / "estimate.report.json").read_text())
     assert report["failed_atoms"] == [0, 1]
+
+
+def test_estimate_flags_an_atom_whose_step_times_weight_underflows(workdir):
+    # weight 1e-320 times every level-20 step underflows to 0
+    inp = write(workdir / "s.csv", "0.0,1e-320\n1.0,1.0\n")
+    proc = run_cli("estimate", "--input", inp, "--functional", '{"name":"variance"}',
+                   "--level", "20")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3
+    report = json.loads((workdir / "estimate.report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["failed_atoms"] == [0]
+
+
+def test_verify_with_an_overflowing_g_norm_exits_cleanly(workdir):
+    # g = 2x - 2 mean is about +-1.4e154 and the weighted sum of g^2 overflows
+    inp = write(workdir / "s.csv", "-7e153\n7e153\n")
+    proc = run_cli("verify", "--input", inp, "--functional", '{"name":"variance"}',
+                   "--level", "2", "--out", "v.json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 4)
+    report = json.loads((workdir / "v.json").read_text(), parse_constant=_reject_constant)
+    assert report["all_passed"] is (proc.returncode == 0)
 
 
 @pytest.mark.parametrize("spec", [

@@ -195,19 +195,21 @@ def test_grid_canonicalizes_per_grid_not_per_probe(monkeypatch):
     monkeypatch.setattr(estimator_module, "make_measure", counting)
     full_evaluations = []
 
-    def evaluate(mu):
-        full_evaluations.append(1)
-        return VARIANCE(mu)
+    def counted(f):
+        def evaluate(mu):
+            full_evaluations.append(1)
+            return f(mu)
 
-    counted_variance = Functional(name="variance", params={}, evaluate=evaluate,
-                                  shift_evaluator=VARIANCE.shift_evaluator)
+        return Functional(name=f.name, params=f.params, evaluate=evaluate,
+                          shift_evaluator=f.shift_evaluator)
+
     sample = random_sample(np.random.default_rng(5), size=256)
-    for f in (counted_variance, make_interaction([0.0, 0.0, 0.5])):
+    for f in (VARIANCE, make_interaction([0.0, 0.0, 0.5])):
         canonicalizations.clear()
-        est = lions_derivative_grid(f, sample, 8)
+        est = lions_derivative_grid(counted(f), sample, 8)
         assert est.n_atoms > 100
         assert len(canonicalizations) == 2  # the law, then its canonical form
-    assert full_evaluations == []  # every probe was incremental
+        assert full_evaluations == []  # every probe was incremental
 
 
 def test_grid_flags_probe_failures_per_atom():
@@ -233,6 +235,16 @@ def test_grid_flags_non_finite_extrapolation_per_atom():
     assert est.failed_atoms == (0, 1)
     assert np.all(np.isnan(est.g_values))
     assert np.all(np.isnan(est.error_estimates))
+
+
+def test_grid_flags_an_atom_whose_step_times_weight_underflows():
+    # 2^-23 * 1e-320 is 0 in floating point: no quotient can be formed
+    sample = make_sample([0.0, 1.0], [1e-320, 1.0])
+    est = lions_derivative_grid(VARIANCE, sample, 20)
+    assert est.failed_atoms == (0,)
+    assert est.g_values[1] == pytest.approx(2.0 - 2.0 * 1.0, abs=1e-6)
+    with pytest.raises(ProbeFailureError, match="underflows to 0"):
+        lions_derivative_at_atom(VARIANCE, law_of(sample), 0, StepSchedule.for_level(20))
 
 
 def test_one_sided_grid_with_failing_base_flags_every_atom_evaluating_once():

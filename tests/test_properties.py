@@ -1,6 +1,6 @@
 """Hypothesis invariants for the measure layer, the quantizer, the cell
-lookup, the weighted-L2 helper, the one-atom shift probes and the closed
-forms on arrays."""
+lookup, the weighted-L2 helper, exact sums on arrays, the one-atom shift
+probes and the closed forms on arrays."""
 
 import math
 import random
@@ -32,7 +32,8 @@ from lionsderiv import (
     wasserstein2,
 )
 from lionsderiv.estimator import _ShiftProbes
-from lionsderiv.measure import _weighted_l2
+from lionsderiv.functionals import _ExactSum
+from lionsderiv.measure import _exact_sum, _weighted_l2
 
 finite_values = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 raw_weights = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
@@ -178,10 +179,12 @@ def shift_cases(draw):
     return mu, i, step
 
 
+small_coefficients = st.lists(st.integers(-2, 2), min_size=1, max_size=11)
 builtins = st.one_of(
     st.just(make_variance()),
     st.just(make_mean_square()),
-    st.lists(st.integers(-2, 2), min_size=1, max_size=11).map(make_linear),
+    small_coefficients.map(make_linear),
+    small_coefficients.map(make_interaction),
 )
 
 
@@ -356,13 +359,70 @@ def test_vectorised_merge_matches_loop(pairs):
 
 @given(st.lists(st.tuples(raw_weights, st.one_of(wide_values, st.just(math.nan))),
                 min_size=1, max_size=12))
+@example([(1.0, 1.3e154), (1.0, 1.3e154), (1.0, math.nan)])
 @settings(max_examples=200, deadline=None)
 def test_weighted_l2_matches_loop(pairs):
     weights = np.array([w for w, _ in pairs])
     d = np.array([x for _, x in pairs])
-    loop = math.sqrt(max(math.fsum(float(w) * float(x) * float(x)
-                                   for w, x in zip(weights, d)), 0.0))
-    assert _bits(_weighted_l2(weights, d)) == _bits(loop)
+    try:
+        total = math.fsum(float(w) * float(x) * float(x) for w, x in zip(weights, d))
+    except OverflowError:  # terms >= 0 overflowed: inf, unless a NaN is among them
+        total = math.nan if np.isnan(d).any() else math.inf
+    assert _bits(_weighted_l2(weights, d)) == _bits(math.sqrt(max(total, 0.0)))
+
+
+def test_weighted_l2_of_an_overflowing_sum_is_inf():
+    assert _weighted_l2(np.array([0.5, 0.5]), np.array([-1.4e154, 1.4e154])) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# exact sums on arrays against math.fsum over Python floats
+# ---------------------------------------------------------------------------
+
+_SPECIAL_TERMS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308)
+
+
+@st.composite
+def term_arrays(draw):
+    """0..4096 terms: seeded bulk terms k * 2^e with exponents drawn from a
+    subrange of -1074..1023, optionally with cancelling pairs, plus a few
+    arbitrary floats (subnormals, signed zeros, huge values, inf and NaN)."""
+    size = draw(st.integers(0, 4096))
+    lo = draw(st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, min(lo + draw(st.integers(0, 2100)), 1023)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bulk = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(lo, hi + 1, size))
+    if draw(st.booleans()):
+        bulk = np.concatenate((bulk, -bulk[: draw(st.integers(0, size))]))
+    extra = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_TERMS)),
+                          max_size=8))
+    terms = np.concatenate((bulk, np.array(extra, dtype=float)))
+    rng.shuffle(terms)
+    return terms
+
+
+def _fsum_or_nan(terms):
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+@given(term_arrays())
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_is_fsum_or_nan_bit_for_bit(terms):
+    want = _fsum_or_nan(terms.tolist())
+    assert _bits(_exact_sum(terms)) == _bits(want)
+    exact = _ExactSum.of(terms)
+    if exact is not None:  # every term finite, far below the overflow threshold
+        assert _bits(math.fsum(exact.partials)) == _bits(want)
+        assert all(exact.partials) and len(exact.partials) <= 40
+        # the first two terms swapped for copies of the next two
+        resummed = exact.plus([-t for t in terms[:2].tolist()] + terms[2:4].tolist())
+        assert resummed is not None
+        assert _bits(resummed) == _bits(math.fsum(terms[2:].tolist() + terms[2:4].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +458,6 @@ def _loop_analytic_g(f, mu, xs):
             except ValueError:  # +inf and -inf terms: no exact sum
                 out.append(math.nan)
     return out
-
-
-small_coefficients = st.lists(st.integers(-2, 2), min_size=1, max_size=11)
 
 
 @given(measures(),
