@@ -23,6 +23,7 @@ import numpy as np
 
 from .estimator import (
     MODES,
+    EstimatorError,
     SchedulePolicy,
     lions_derivative_grid,
     refine_until_converged,
@@ -34,8 +35,8 @@ from .functionals import (
     functional_from_config,
 )
 from .measure import (
-    MAX_LEVEL,
     MeasureError,
+    QuantizationLevel,
     SampleFormatError,
     dyadic_quantize,
     law_of,
@@ -77,6 +78,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     command: str
+    functional: Functional
     functional_spec: Mapping[str, Any]
     input_path: str
     output_path: str | None
@@ -85,9 +87,6 @@ class RunConfig:
     tol: float
     seed: int
     policy: SchedulePolicy
-
-    def functional(self) -> Functional:
-        return functional_from_config(self.functional_spec)
 
 
 def _fmt(x: float) -> str:
@@ -106,23 +105,24 @@ def _parse_levels(raw: Any) -> tuple[int, int]:
             raise ConfigError(f"levels must be integers, got {raw!r}") from None
     elif isinstance(raw, (list, tuple)) and len(raw) == 2:
         a, b = raw
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (a, b)):
-            raise ConfigError(f"levels must be integers, got {raw!r}")
     else:
         raise ConfigError(f"levels must be `a..b` or [a, b], got {raw!r}")
-    if a < 0 or b < a or b > MAX_LEVEL:
-        raise ConfigError(
-            f"levels must satisfy 0 <= a <= b <= {MAX_LEVEL}, got {a}..{b}")
-    return int(a), int(b)
+    a, b = QuantizationLevel(a).n, QuantizationLevel(b).n
+    if b < a:
+        raise ConfigError(f"levels must satisfy a <= b, got {a}..{b}")
+    return a, b
 
 
-def _require_number(value: Any, key: str) -> float:
+def _require_number(value: Any, key: str) -> float | None:
+    """None, or a JSON number as a float; its range is checked elsewhere."""
+    if value is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return v
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key} must be finite, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -134,7 +134,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -154,14 +154,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.functional is not None:
         try:
             functional_spec = json.loads(args.functional)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"--functional is not valid JSON: {exc}")
     if functional_spec is None:
         raise ConfigError("a functional spec is required (--functional or config)")
-    try:
-        functional_from_config(functional_spec)
-    except FunctionalConfigError as exc:
-        raise ConfigError(str(exc))
 
     input_path = pick(args.input, "input")
     if input_path is None:
@@ -170,21 +166,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     output_path = pick(args.out, "out")
 
     level = pick(args.level, "level")
-    if level is not None:
-        if isinstance(level, bool) or not isinstance(level, int):
-            raise ConfigError(f"level must be an integer, got {level!r}")
-        if not 0 <= level <= MAX_LEVEL:
-            raise ConfigError(f"level must lie in 0..{MAX_LEVEL}, got {level}")
-
-    levels_raw = pick(args.levels, "levels")
-    levels = _parse_levels(levels_raw) if levels_raw is not None else None
+    levels = pick(args.levels, "levels")
     if args.command == "estimate" and level is not None and levels is not None:
         raise ConfigError("estimate takes either `level` or `levels`, not both")
 
-    tol_raw = pick(args.tol, "tol")
-    tol = DEFAULT_TOL if tol_raw is None else _require_number(tol_raw, "tol")
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol!r}")
+    tol = _require_number(pick(args.tol, "tol"), "tol")
+    tol = DEFAULT_TOL if tol is None else tol
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
 
     seed_raw = pick(args.seed, "seed")
     seed = 0 if seed_raw is None else seed_raw
@@ -193,35 +182,26 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if not (0 <= seed < 2 ** 64):
         raise ConfigError(f"seed must fit in an unsigned 64-bit word, got {seed}")
 
-    eps0 = pick(args.eps0, "eps0")
-    if eps0 is not None:
-        eps0 = _require_number(eps0, "eps0")
-        if eps0 <= 0:
-            raise ConfigError(f"eps0 must be positive, got {eps0!r}")
-    ratio = file_cfg.get("ratio")
-    if ratio is not None:
-        ratio = _require_number(ratio, "ratio")
-        if not (0.0 < ratio < 1.0):
-            raise ConfigError(f"ratio must lie in (0, 1), got {ratio!r}")
-    count = file_cfg.get("count")
-    if count is not None:
-        if isinstance(count, bool) or not isinstance(count, int) or count < 2:
-            raise ConfigError(f"count must be an integer >= 2, got {count!r}")
-    mode = pick(args.mode, "mode")
-    if mode is not None and mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-    return RunConfig(
-        command=args.command,
-        functional_spec=functional_spec,
-        input_path=str(input_path),
-        output_path=None if output_path is None else str(output_path),
-        level=level,
-        levels=levels,
-        tol=tol,
-        seed=seed,
-        policy=SchedulePolicy(eps0=eps0, ratio=ratio, count=count, mode=mode),
-    )
+    # The functional, level and schedule rules live in the library; a
+    # violation there is a config error here.
+    try:
+        return RunConfig(
+            command=args.command,
+            functional=functional_from_config(functional_spec),
+            functional_spec=functional_spec,
+            input_path=str(input_path),
+            output_path=None if output_path is None else str(output_path),
+            level=None if level is None else QuantizationLevel(level).n,
+            levels=None if levels is None else _parse_levels(levels),
+            tol=tol,
+            seed=seed,
+            policy=SchedulePolicy(
+                eps0=_require_number(pick(args.eps0, "eps0"), "eps0"),
+                ratio=_require_number(file_cfg.get("ratio"), "ratio"),
+                count=file_cfg.get("count"), mode=pick(args.mode, "mode")),
+        )
+    except (FunctionalConfigError, EstimatorError, MeasureError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _report_path(csv_path: str) -> str:
@@ -246,7 +226,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    f = cfg.functional()
+    f = cfg.functional
     sample = read_sample_file(cfg.input_path)
     if cfg.level is not None:
         n_min = n_max = cfg.level
@@ -280,7 +260,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    f = cfg.functional()
+    f = cfg.functional
     sample = read_sample_file(cfg.input_path)
     level = cfg.level if cfg.level is not None else DEFAULT_VERIFY_LEVEL
     schedule = cfg.policy.for_level(level)
@@ -332,7 +312,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_study(cfg: RunConfig) -> int:
-    f = cfg.functional()
+    f = cfg.functional
     sample = read_sample_file(cfg.input_path)
     a, b = cfg.levels if cfg.levels is not None else DEFAULT_STUDY_LEVELS
     rows = convergence_study(f, sample, range(a, b + 1), schedule_policy=cfg.policy)

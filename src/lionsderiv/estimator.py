@@ -103,16 +103,20 @@ class StepSchedule:
         if not isinstance(self.count, (int, np.integer)) or self.count < 2:
             raise EstimatorError(f"count must be an integer >= 2, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))
+        # steps() divides by ratio^(count - 1).  Past 2^64 even the ratio
+        # nearest 1 underflows, and a float to a larger int power overflows.
+        if self.ratio ** min(self.count - 1, 1 << 64) == 0.0:
+            raise EstimatorError(
+                f"ratio ** (count - 1) must not underflow to 0, got ratio "
+                f"{self.ratio!r} and count {self.count}")
         if self.mode not in MODES:
             raise EstimatorError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     @classmethod
-    def for_level(cls, level: QuantizationLevel | int, ratio: float = 0.5,
-                  count: int = 4, mode: str = "central") -> "StepSchedule":
+    def for_level(cls, level: QuantizationLevel | int, **fields) -> "StepSchedule":
         """Level-coupled default: eps0 = 2^-n / 8 keeps a shifted atom inside
-        its own cell's neighborhood."""
-        n = as_level(level).n
-        return cls(eps0=2.0 ** -n / 8.0, ratio=ratio, count=count, mode=mode)
+        its own cell's neighborhood.  ``fields`` set the other fields."""
+        return cls(eps0=2.0 ** -as_level(level).n / 8.0, **fields)
 
     def steps(self, at: float = 0.0) -> tuple[float, ...]:
         """Concrete steps near position ``at``; the whole schedule is raised
@@ -127,12 +131,17 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class SchedulePolicy:
-    """Optional overrides applied on top of the level-coupled defaults."""
+    """Optional overrides applied on top of the level-coupled defaults.  Built
+    only if its level-0 schedule is valid: only the default eps0 depends on
+    the level, and that default is valid at every level."""
 
     eps0: float | None = None
     ratio: float | None = None
     count: int | None = None
     mode: str | None = None
+
+    def __post_init__(self):
+        self.for_level(0)
 
     def for_level(self, level: QuantizationLevel | int) -> StepSchedule:
         overrides = {k: v for k, v in self.to_dict().items() if v is not None}
@@ -187,7 +196,7 @@ class DerivativeEstimate:
         object.__setattr__(self, "error_estimates", errs)
         if not (atoms.size == gvals.size == errs.size):
             raise EstimatorError("grid_atoms, g_values, error_estimates lengths differ")
-        if atoms.size > 1 and not np.all(np.diff(atoms) > 0):
+        if not np.all(atoms[1:] > atoms[:-1]):
             raise EstimatorError("grid_atoms must be strictly increasing")
         floored, finite = _dyadic_floor(atoms, self.level.n)
         off_grid = atoms[~finite | (floored != atoms)]
@@ -465,7 +474,8 @@ def _floor_reaches_neighbour(schedule: StepSchedule, mu: DiscreteMeasure,
     if eps == schedule.eps0:
         return False
     lo = i if schedule.mode == "one_sided" else max(i - 1, 0)
-    return eps >= np.diff(mu.atoms[lo:i + 2]).min(initial=math.inf)
+    with np.errstate(over="ignore"):  # a gap past the float range is inf
+        return eps >= np.diff(mu.atoms[lo:i + 2]).min(initial=math.inf)
 
 
 def _cell_index(level: QuantizationLevel, atoms: np.ndarray, xs) -> np.ndarray:

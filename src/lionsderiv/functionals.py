@@ -146,7 +146,6 @@ class Functional:
     analytic_derivative: Callable[[DiscreteMeasure, np.ndarray], np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
-    smoothness_note: str = field(default="", compare=False)
     shift_evaluator: Callable[[DiscreteMeasure], ShiftValue | None] | None = field(
         default=None, compare=False, repr=False
     )
@@ -258,7 +257,6 @@ def make_linear(phi: PotentialSpec | tuple[float, ...] | list[float]) -> Functio
         params={"phi": spec.coefficients},
         evaluate=evaluate,
         analytic_derivative=None if dphi is None else analytic,
-        smoothness_note="polynomial; smooth everywhere",
         shift_evaluator=shift_evaluator,
     )
 
@@ -275,7 +273,6 @@ def make_mean_square() -> Functional:
         params={},
         evaluate=evaluate,
         analytic_derivative=analytic,
-        smoothness_note="smooth everywhere",
         shift_evaluator=shift_evaluator,
     )
 
@@ -293,7 +290,6 @@ def make_variance() -> Functional:
         params={},
         evaluate=evaluate,
         analytic_derivative=analytic,
-        smoothness_note="smooth everywhere",
         shift_evaluator=shift_evaluator,
     )
 
@@ -346,7 +342,6 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
         params={"w": spec.coefficients},
         evaluate=evaluate,
         analytic_derivative=None if dw is None else analytic,
-        smoothness_note="polynomial kernel; smooth everywhere",
         shift_evaluator=shift_evaluator,
     )
 

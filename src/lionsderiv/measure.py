@@ -94,7 +94,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _renormalize(weights: np.ndarray, what: str) -> np.ndarray:
-    total = math.fsum(weights.tolist())
+    total = _exact_sum(weights)
+    if math.isnan(total):  # the sum of these finite, non-negative weights overflows
+        total = math.inf
     if total <= 0.0:
         raise MeasureError(f"{what} must have positive total mass, got {total!r}")
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
@@ -119,8 +121,8 @@ def _set_weighted(obj, name: str) -> np.ndarray:
         )
     if not np.all(weights > 0):
         raise MeasureError("weights must all be positive")
-    total = math.fsum(weights.tolist())
-    if abs(total - 1.0) > 1e-12:
+    total = _exact_sum(weights)
+    if not math.isfinite(total) or abs(total - 1.0) > 1e-12:
         raise MeasureError(f"weights must sum to 1 within 1e-12, got {total!r}")
     return points
 
@@ -139,7 +141,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         atoms = _set_weighted(self, "atoms")
-        if atoms.size > 1 and not np.all(np.diff(atoms) > 0):
+        if not np.all(atoms[1:] > atoms[:-1]):
             raise MeasureError("atoms must be strictly increasing")
 
     @property
@@ -243,12 +245,12 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
     ends = np.r_[starts[1:], a.size]
     masses = w[starts]
     for k in np.flatnonzero(ends - starts > 1).tolist():
-        masses[k] = math.fsum(w[starts[k]:ends[k]].tolist())
+        masses[k] = _exact_sum(w[starts[k]:ends[k]])
     keep = masses > 0.0
     atoms_arr, weights_arr = a[starts[keep]], masses[keep]
 
     # normalized once more after merging: canonical weights keep these bits
-    total = math.fsum(weights_arr.tolist())
+    total = _exact_sum(weights_arr)
     return DiscreteMeasure(atoms_arr, weights_arr / total)
 
 
@@ -430,7 +432,7 @@ def _exact_sum(terms) -> float:
 
 def mean(mu: DiscreteMeasure) -> float:
     """Sum of p_i * x_i over sorted atoms (exactly rounded summation)."""
-    return math.fsum((mu.weights * mu.atoms).tolist())
+    return _exact_sum(mu.weights * mu.atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 from .estimator import (
     DerivativeEstimate,
     Direction,
+    ProbeFailureError,
     SchedulePolicy,
     StepSchedule,
     _level_grids,
@@ -105,7 +106,8 @@ def check_structure(f: Functional, sample: EmpiricalSample,
     (a no-op for grid-supported samples): at finite resolution that is the
     identity the estimate actually claims, and the comparison then isolates
     scheme error from quantization error.  Directions are seeded standard
-    normal displacements, one fresh draw per case.
+    normal displacements, one fresh draw per case.  A failed probe reads as
+    NaN, so the check fails.
     """
     directions = int(directions)
     if directions < 1:
@@ -123,13 +125,17 @@ def check_structure(f: Functional, sample: EmpiricalSample,
     worst_err_bound = 0.0
     for idx in range(directions):
         eta = rng.standard_normal(qs.size)
-        lhs = directional_derivative(f, qs, Direction(eta), schedule)
+        try:
+            lhs = directional_derivative(f, qs, Direction(eta), schedule)
+        except ProbeFailureError:
+            lhs = math.nan
         with np.errstate(over="ignore", invalid="ignore"):
             pairing = weights * gvals * eta
             spread = weights * np.abs(eta) * evals
         rhs = _exact_sum(pairing)
         eta_norm = _weighted_l2(weights, eta)
-        denom = max(abs(lhs), abs(rhs), g_norm * eta_norm, _TINY)
+        scale = g_norm * eta_norm  # left out when infinite: every rel would read 0
+        denom = max(abs(lhs), abs(rhs), scale if scale < math.inf else 0.0, _TINY)
         rel = abs(lhs - rhs) / denom
         err_bound = _exact_sum(spread) / denom
         rels.append(rel)
@@ -226,7 +232,8 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
     Fits value = slope * (q * p_i) over the fractions and reports (a) the
     maximum relative fit residual against 1e-6 and (b) the fitted slope
     against the atom derivative within max(1e-6, 4x combined error
-    estimates).  Discrepancy is the worst criterion ratio; tolerance 1.
+    estimates).  Discrepancy is the worst criterion ratio; tolerance 1.  A
+    failed probe reads as NaN, so the check fails.
     """
     schedule = schedule if schedule is not None else StepSchedule()
     fractions = tuple(float(q) for q in fractions)
@@ -234,13 +241,16 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
         raise ValueError("need at least one mass fraction")
     p = float(mu.weights[int(i)])
     masses = [q * p for q in fractions]
-    values = [partial_mass_perturbation(f, mu, i, q, schedule) for q in fractions]
-    slope = (math.fsum(v * m for v, m in zip(values, masses))
-             / math.fsum(m * m for m in masses))
+    try:
+        values = [partial_mass_perturbation(f, mu, i, q, schedule) for q in fractions]
+        g_hat, g_err = lions_derivative_at_atom(f, mu, i, schedule)
+    except ProbeFailureError:
+        values, g_hat, g_err = [math.nan] * len(fractions), math.nan, math.nan
+    slope = (_exact_sum(np.multiply(values, masses))
+             / _exact_sum(np.multiply(masses, masses)))
     scale = max(max(abs(v) for v in values), _TINY)
     residual = max(abs(v - slope * m) for v, m in zip(values, masses)) / scale
 
-    g_hat, g_err = lions_derivative_at_atom(f, mu, i, schedule)
     slope_gap = abs(slope - g_hat)
     slope_tol = max(1e-6 * max(1.0, abs(g_hat)), 4.0 * g_err)
 

@@ -295,6 +295,80 @@ def test_level_beyond_float_range_exits_2(workdir, capsys, levels):
     assert "1023" in err and len(err.strip().splitlines()) == 1
 
 
+HUGE = "1" + "0" * 400      # an integer beyond the float range
+
+
+def _short_id(value):
+    text = " ".join(value) if isinstance(value, list) else str(value)
+    return text if len(text) <= 40 else f"{text[:16]}...({len(text)} chars)"
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--level", "-1"], None),
+    ([], '{"level": "3"}'),
+    ([], '{"level": true}'),
+    ([], '{"level": 2.0}'),
+    (["--levels", "5..2"], None),
+    (["--levels=-1..3"], None),
+    (["--levels", "2-5"], None),
+    ([], '{"levels": [2, "5"]}'),
+    ([], '{"levels": [true, 3]}'),
+    (["--eps0", "0"], None),
+    (["--eps0", "-1"], None),
+    (["--eps0", "inf"], None),
+    (["--eps0", "nan"], None),
+    ([], '{"eps0": "0.1"}'),
+    ([], '{"eps0": true}'),
+    ([], '{"eps0": %s}' % HUGE),
+    ([], '{"ratio": 1.0}'),
+    ([], '{"ratio": 0}'),
+    ([], '{"ratio": "0.5"}'),
+    ([], '{"ratio": false}'),
+    ([], '{"ratio": 1e-200}'),      # ratio ** (count - 1) underflows
+    ([], '{"count": 1}'),
+    ([], '{"count": 2.5}'),
+    ([], '{"count": "4"}'),
+    ([], '{"count": true}'),
+    ([], '{"count": 1100}'),        # ratio ** (count - 1) underflows
+    ([], '{"count": %s}' % HUGE),
+    ([], '{"count": 1%s}' % ("0" * 5000)),  # past the JSON integer limit
+    ([], '{"mode": "sideways"}'),
+    ([], '{"mode": 1}'),
+    ([], '{"mode": ["central"]}'),
+], ids=_short_id)
+def test_bad_run_setting_exits_2_with_one_line(workdir, capsys, flags, config):
+    inp = write(workdir / "s.csv", BALANCED)
+    argv = ["estimate", "--input", inp, "--functional", '{"name":"variance"}', *flags]
+    if config is not None:
+        argv += ["--config", write(workdir / "cfg.json", config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lionsderiv: config error: ") and err.count("\n") == 1
+
+
+def test_weights_whose_sum_overflows_exit_1_with_one_line(workdir, capsys):
+    inp = write(workdir / "s.csv", "0.0,1e308\n1.0,1e308\n")
+    code = main(["estimate", "--input", inp, "--functional", '{"name":"variance"}',
+                 "--level", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "weights sum to inf" in err and err.count("\n") == 1
+
+
+def test_verify_with_failing_probes_exits_4_with_strict_json(workdir):
+    # at level 0 every directional and moved-mass probe overflows
+    inp = write(workdir / "s.csv", "1e308\n-1e308\n1e308\n")
+    proc = run_cli("verify", "--input", inp, "--functional", '{"name":"variance"}',
+                   "--level", "0", "--out", "v.json")
+    assert proc.stderr == ""
+    assert proc.returncode == 4
+    report = json.loads((workdir / "v.json").read_text(), parse_constant=_reject_constant)
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("structure_identity", "mass_linearity"):
+        assert checks[name]["status"] == "fail"
+        assert checks[name]["discrepancy"] is None
+
+
 def test_verify_report_is_strict_json_for_non_finite_results(workdir):
     inp = write(workdir / "s.csv", "1e30\n-2e30\n3e30\n")
     code = main(["verify", "--input", inp, "--functional",

@@ -65,6 +65,20 @@ def test_schedule_validation():
         StepSchedule(mode="sideways")
 
 
+@pytest.mark.parametrize("ratio, count", [(1e-200, 4), (0.5, 1100), (0.5, 10 ** 400)])
+def test_schedule_rejects_a_ratio_power_that_underflows(ratio, count):
+    # steps() divides by ratio ** (count - 1)
+    with pytest.raises(EstimatorError, match="underflow"):
+        StepSchedule(ratio=ratio, count=count)
+
+
+def test_schedule_policy_is_checked_when_built():
+    with pytest.raises(EstimatorError, match="eps0"):
+        SchedulePolicy(eps0=-1.0)
+    with pytest.raises(EstimatorError, match="underflow"):
+        SchedulePolicy(ratio=1e-200)
+
+
 def test_schedule_step_floor():
     # asking for absurdly small steps gets raised to the cancellation floor
     sched = StepSchedule(eps0=1e-15, count=2)

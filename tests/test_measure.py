@@ -75,6 +75,13 @@ def test_make_measure_rejects_badly_scaled_weights():
         make_measure([0.0, 1.0], [0.3, 0.6])
 
 
+@pytest.mark.parametrize("build", [make_measure, make_sample])
+def test_weights_whose_sum_overflows_are_rejected_as_badly_scaled(build):
+    # fsum over these weights raises OverflowError; the sum is reported as inf
+    with pytest.raises(MeasureError, match="sum to inf"):
+        build([0.0, 1.0], [1e308, 1e308])
+
+
 def test_make_measure_drops_zero_weights():
     mu = make_measure([0.0, 1.0, 2.0], [0.5, 0.0, 0.5])
     assert mu.atoms.tolist() == [0.0, 2.0]

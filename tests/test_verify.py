@@ -2,6 +2,7 @@
 oracle comparison, convergence study."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lionsderiv import (
     check_mass_linearity,
     check_structure,
     convergence_study,
+    law_of,
     lions_derivative_grid,
     make_interaction,
     make_linear,
@@ -78,6 +80,26 @@ def test_structure_report_is_reproducible():
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
     c = check_structure(VARIANCE, sample, est, directions=4, seed=8)
     assert json.dumps(a.to_dict()) != json.dumps(c.to_dict())
+
+
+def test_structure_fails_with_nan_when_a_probe_fails():
+    # at level 0 every probe of the variance on these values overflows
+    sample = make_sample([1e308, -1e308, 1e308])
+    est = lions_derivative_grid(VARIANCE, sample, 0)
+    report = check_structure(VARIANCE, sample, est, directions=2)
+    assert report.status == "fail" and math.isnan(report.discrepancy)
+    assert all(math.isnan(c["lhs_directional"]) for c in report.cases)
+
+
+def test_structure_discrepancy_survives_an_overflowing_g_norm():
+    # g is about +-1.4e154, so the squares in the g-norm overflow to inf;
+    # the two sides still differ in about the seventh digit
+    sample = make_sample([-7e153, 7e153])
+    est = lions_derivative_grid(VARIANCE, sample, 2)
+    report = check_structure(VARIANCE, sample, est, directions=4)
+    rels = [c["relative_discrepancy"] for c in report.cases]
+    assert all(0.0 < r < 1e-5 for r in rels)
+    assert report.discrepancy == max(rels)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +168,13 @@ def test_mass_linearity_all_builtins_default_schedule(f):
     report = check_mass_linearity(f, mu, 1)
     assert report.status == "pass"
     assert report.details["fit_residual_relative"] <= 1e-6
+
+
+def test_mass_linearity_fails_with_nan_when_a_probe_fails():
+    mu = law_of(make_sample([1e308, -1e308, 1e308]))
+    report = check_mass_linearity(VARIANCE, mu, 1)
+    assert report.status == "fail" and math.isnan(report.discrepancy)
+    assert math.isnan(report.details["atom_derivative"])
 
 
 def test_mass_linearity_fails_under_abusive_schedule():
