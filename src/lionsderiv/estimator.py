@@ -75,9 +75,10 @@ class EstimatorError(ValueError):
 
 
 class ProbeFailureError(RuntimeError):
-    """A probe gave no finite difference quotient: the functional returned a
-    non-finite value at a probe measure, or a step times the atom's weight
-    underflows to 0."""
+    """A probe gave no finite derivative: the functional returned a
+    non-finite value at a probe measure, a step is not finite or times the
+    atom's weight underflows to 0, or the extrapolation over the steps is
+    not finite."""
 
 
 @dataclass(frozen=True)
@@ -348,9 +349,11 @@ def _quotients(value_at: Callable[[float], float], steps, mode: str,
     (2 eps * scale) central, at each step; +eps is probed before -eps.
 
     ``base`` is called once, before any probe, and only in one-sided mode.
-    A denominator that underflows to 0 raises :class:`ProbeFailureError`
-    before any probe.
+    A step that is not finite, or a denominator that underflows to 0,
+    raises :class:`ProbeFailureError` before any probe.
     """
+    if not all(math.isfinite(eps) for eps in steps):
+        raise ProbeFailureError(f"the steps {tuple(steps)!r} are not all finite")
     one_sided = mode == "one_sided"
     denominators = [(eps if one_sided else 2.0 * eps) * scale for eps in steps]
     if 0.0 in denominators:
@@ -416,11 +419,17 @@ def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
     Raises
     ------
     ProbeFailureError
-        When the functional returns a non-finite value at any probe.
+        When the functional returns a non-finite value at any probe, a step
+        is not finite or times the weight underflows to 0, or the
+        extrapolated value or its error is not finite.
     """
     schedule = schedule if schedule is not None else StepSchedule()
     quots = atom_shift_quotients(f, mu, i, schedule, _probes=_probes)
-    return _extrapolate(quots, schedule)
+    value, error = _extrapolate(quots, schedule)
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise ProbeFailureError(
+            f"extrapolation at atom {i} gives {value!r} with error {error!r}")
+    return value, error
 
 
 def lions_derivative_grid(f, sample: EmpiricalSample,
@@ -443,17 +452,14 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     failed: list[int] = []
     probes = _ShiftProbes(f, mu)
     for i in range(mu.n_atoms):
-        value = error = math.nan
         if not _floor_reaches_neighbour(schedule, mu, i):
             try:
-                value, error = lions_derivative_at_atom(f, mu, i, schedule,
+                g[i], err[i] = lions_derivative_at_atom(f, mu, i, schedule,
                                                         _probes=probes)
+                continue
             except ProbeFailureError:
                 pass  # flagged below
-        if math.isfinite(value) and math.isfinite(error):
-            g[i], err[i] = value, error
-        else:
-            failed.append(i)
+        failed.append(i)
     return DerivativeEstimate(
         level=level,
         grid_atoms=mu.atoms,

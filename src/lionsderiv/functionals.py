@@ -22,16 +22,25 @@ is E[x^2] - (E[x])^2, whose two parts give 2 x_i and -2m.  For
 ``interaction`` both integration slots move, producing the symmetrized
 kernel-derivative integral; a squared-distance kernel w(u) = u^2/2 makes it
 coincide with ``variance`` on every measure, which the tests assert.
+
+Evaluation note: ``interaction`` sums its M x M terms from the diagonal and
+each pair j != k once, as in the strict upper triangle.  The swapped pair's
+term is bit for bit the same float for a kernel without odd coefficients and
+the same float negated for one without even coefficients, so the other half
+of the matrix costs nothing for those kernels, and the exact sum keeps every
+bit (see :func:`make_interaction`).
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .measure import DiscreteMeasure, _exact_groups, _exact_sum, mean
 
@@ -133,11 +142,12 @@ class Functional:
     decline a base measure; declined probes are evaluated in full.  The
     built-ins all have one: ``linear``, ``mean_square`` and ``variance``
     re-sum in O(1) per probe, ``interaction`` in O(M) for M atoms, where a
-    full evaluation costs O(M) and O(M^2).  Both rest on exact summation:
-    the exactly rounded sum of the base terms with some swapped for new ones
-    is the sum a full evaluation forms.  A functional added with
-    :func:`register` opts in by passing ``shift_evaluator=`` to its
-    ``Functional``; left None, every probe is evaluated in full.
+    full evaluation costs O(M) and O(M^2); each keeps O(M) memory per base
+    measure.  Both rest on exact summation: the exactly rounded sum of the
+    base terms with some swapped for new ones is the sum a full evaluation
+    forms.  A functional added with :func:`register` opts in by passing
+    ``shift_evaluator=`` to its ``Functional``; left None, every probe is
+    evaluated in full.
     """
 
     name: str
@@ -171,28 +181,27 @@ class _ExactSum:
     """Exact sum of a term array, re-summed with a few terms swapped.
 
     ``partials`` are a few nonzero floats, largest first, whose exact sum is
-    the exact sum of the terms: the exact per-exponent group sums of
-    :func:`~lionsderiv.measure._exact_sum`, rounded off one float at a time.
-    ``math.fsum`` returns the correctly rounded exact sum of its inputs, so
-    ``fsum(partials + [-old..., new...])`` is bitwise equal to ``fsum`` over
-    the full term array with the old terms replaced by the new ones, at a
-    cost set by the number of terms swapped, not by the length of the array.
+    the exact sum of the terms: exact per-exponent group sums, as
+    :func:`~lionsderiv.measure._exact_groups` gives them, rounded off one
+    float at a time.  ``math.fsum`` returns the correctly rounded exact sum
+    of its inputs, so ``fsum(partials + [-old..., new...])`` is bitwise
+    equal to ``fsum`` over the full term array with the old terms replaced
+    by the new ones, at a cost set by the number of terms swapped, not by
+    the length of the array.
     """
 
-    def __init__(self, partials: list[float]):
-        self.partials = partials
+    def __init__(self, groups: list[float]):
+        rest = list(groups)
+        self.partials: list[float] = []
+        while p := math.fsum(rest):
+            self.partials.append(p)
+            rest.append(-p)
 
     @classmethod
     def of(cls, terms: np.ndarray) -> "_ExactSum | None":
         """None when a term is not finite or the terms could overflow."""
-        rest = _exact_groups(terms)
-        if rest is None:
-            return None
-        partials: list[float] = []
-        while p := math.fsum(rest):
-            partials.append(p)
-            rest.append(-p)
-        return cls(partials)
+        groups = _exact_groups(terms)
+        return None if groups is None else cls(groups)
 
     def plus(self, terms: list[float]) -> float | None:
         """Sum with ``terms`` added; None when it is not finite or fsum
@@ -294,38 +303,112 @@ def make_variance() -> Functional:
     )
 
 
+# Pairs of atoms are formed in blocks of about this many, so that the
+# temporaries of a block stay in cache and the allocator reuses their memory
+# from block to block.  At 512 atoms, one pass over all pairs at once costs
+# about 1,500 page faults per evaluation for fresh temporaries.
+_PAIR_BLOCK = 1 << 14
+
+
+def _pair_blocks(weights: np.ndarray, atoms: np.ndarray):
+    """Blocks of (p_j*p_k, x_j - x_k) over the pairs of atom indices j != k,
+    each pair once, in one of its two orders: j with j + s mod M for
+    s = 1..(M-1)//2, then, for even M, j with j + M/2 for j < M/2.  This
+    circulant order makes every block a broadcast over strided views."""
+    m = atoms.size
+    h = (m - 1) // 2
+    if h:
+        later_atoms = sliding_window_view(np.concatenate((atoms[1:], atoms[:h])), h)
+        later_weights = sliding_window_view(np.concatenate((weights[1:], weights[:h])), h)
+        rows = max(1, _PAIR_BLOCK // h)
+        for a in range(0, m, rows):
+            yield (weights[a:a + rows, None] * later_weights[a:a + rows],
+                   atoms[a:a + rows, None] - later_atoms[a:a + rows])
+    if m % 2 == 0:
+        half = m // 2
+        yield weights[:half] * weights[half:], atoms[:half] - atoms[half:]
+
+
 def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Functional:
-    """f(mu) = double integral of w(y - z); g(x) = int [w'(x-z) - w'(z-x)] dmu(z)."""
+    """f(mu) = double integral of w(y - z); g(x) = int [w'(x-z) - w'(z-x)] dmu(z).
+
+    f(mu) is the exactly rounded sum of the M x M terms
+    (p_j*p_k) * w(x_j - x_k): the diagonal, then each pair j != k once, as
+    in the strict upper triangle.  The term of the swapped pair needs no
+    work of its own for most kernels: ``x_k - x_j`` is bit for bit
+    ``-(x_j - x_k)``, ``p_k*p_j`` bit for bit ``p_j*p_k``, and Horner's rule
+    negates exactly at every step.  So for a kernel whose odd coefficients
+    are all 0 it is the same term, and for one whose even coefficients are
+    all 0 the same term negated, wherever the terms are finite: the pair
+    adds the term twice, or nothing.  Other kernels evaluate it, as
+    ``p_j*p_k * w(-(x_j - x_k))``.
+    """
     spec = w if isinstance(w, PotentialSpec) else PotentialSpec(tuple(w))
     dw = spec.derivative()
+    even = not any(spec.coefficients[1::2])
+    odd = not any(spec.coefficients[0::2])
 
-    def pair_terms(mu: DiscreteMeasure) -> np.ndarray:
-        xs = mu.atoms
+    def pair_groups(mu: DiscreteMeasure) -> list[float] | None:
+        """The exact groups of the M x M terms; None where ``_exact_groups``
+        of the whole matrix is None: a term is not finite, or the terms
+        come near overflow."""
+        atoms, weights = mu.atoms, mu.weights
+        count = atoms.size * atoms.size
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.outer(mu.weights, mu.weights) * spec.values(xs[:, None] - xs[None, :])
+            diagonal = (weights * weights) * spec.values(atoms - atoms)
+            groups = _exact_groups(diagonal, count)
+            if groups is None:
+                return None
+            for products, gaps in _pair_blocks(weights, atoms):
+                terms = _exact_groups(products * spec.values(gaps), count)
+                if terms is None:
+                    return None
+                if even:
+                    groups += terms + terms
+                elif not odd:  # an odd kernel's swapped terms cancel these
+                    swapped = _exact_groups(products * spec.values(-gaps), count)
+                    if swapped is None:
+                        return None
+                    groups += terms + swapped
+        return groups
 
     def evaluate(mu: DiscreteMeasure) -> float:
-        return _exact_sum(pair_terms(mu))
+        groups = pair_groups(mu)
+        if groups is not None:
+            return math.fsum(groups)
+        # A term is not finite or the terms come near overflow: fsum over
+        # the matrix row by row decides between a value and NaN.
+        atoms, weights = mu.atoms, mu.weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (weights[:, None] * weights) * spec.values(atoms[:, None] - atoms)
+        return _exact_sum(terms)
 
     def shift_evaluator(canon: DiscreteMeasure) -> ShiftValue | None:
-        terms = pair_terms(canon)
-        total = _ExactSum.of(terms)
-        if total is None:
+        groups = pair_groups(canon)
+        if groups is None:
             return None
+        total = _ExactSum(groups)
         atoms, weights = canon.atoms, canon.weights
         line_weights = np.concatenate((weights, weights))
 
-        def value(i: int, y: float) -> float | None:
-            # Moving atom i changes row i, (w_i*w_k) * w(y - x_k), and
-            # column i, (w_k*w_i) * w(x_k - y), of the M x M terms.  Both
-            # lines hold the diagonal term w_i^2 * w(0), whose bits do not
-            # change, so swapping both whole lines is exact.
+        def lines(i: int, y: float) -> np.ndarray:
+            """Row i, (w_i*w_k) * w(y - x_k), then column i, (w_k*w_i) *
+            w(x_k - y), of the M x M terms with atom i at y."""
             moved = atoms.copy()
             moved[i] = y
             with np.errstate(over="ignore", invalid="ignore"):
-                added = (weights[i] * line_weights) * spec.values(
+                return (weights[i] * line_weights) * spec.values(
                     np.concatenate((y - moved, moved - y)))
-            return total.plus(np.concatenate((added, -terms[i], -terms[:, i])).tolist())
+
+        @functools.lru_cache(maxsize=1)  # the probes of one atom come in a row
+        def old_lines(i: int) -> list[float]:
+            return (-lines(i, float(atoms[i]))).tolist()
+
+        def value(i: int, y: float) -> float | None:
+            # Moving atom i changes row i and column i.  Both hold the
+            # diagonal term w_i^2 * w(0), whose bits do not change, so
+            # swapping both whole lines, old for new, is exact.
+            return total.plus(lines(i, y).tolist() + old_lines(i))
 
         return value
 

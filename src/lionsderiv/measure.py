@@ -241,11 +241,15 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
     w = w[order]
 
     # Exactly equal atoms merge; the merged mass is the exact sum of theirs.
+    # The weights are at most about 1, so fsum over a run cannot overflow,
+    # and on a short list it costs far less than an array-wide exact sum.
     starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
     ends = np.r_[starts[1:], a.size]
     masses = w[starts]
-    for k in np.flatnonzero(ends - starts > 1).tolist():
-        masses[k] = _exact_sum(w[starts[k]:ends[k]])
+    merged = np.flatnonzero(ends - starts > 1)
+    for k, lo, hi in zip(merged.tolist(), starts[merged].tolist(),
+                         ends[merged].tolist()):
+        masses[k] = math.fsum(w[lo:hi].tolist())
     keep = masses > 0.0
     atoms_arr, weights_arr = a[starts[keep]], masses[keep]
 
@@ -396,12 +400,18 @@ _EXPONENT = 0x7FF
 _MAX_TERMS = 1 << 26
 
 
-def _exact_groups(terms) -> list[float] | None:
+def _exact_groups(terms, count: int | None = None) -> list[float] | None:
     """Nonzero floats, at most two per exponent of the terms, whose exact
     sum is the exact sum of ``terms``; None where a term is not finite or the
-    terms are so large that a partial sum of ``math.fsum`` could overflow."""
+    terms are so large that a partial sum of ``math.fsum`` could overflow.
+
+    ``count`` is the number of terms in the whole sum when ``terms`` is only
+    one part of it and its groups are added to those of the other parts;
+    the overflow bound then covers all of them.  It defaults to the number
+    of ``terms``."""
     terms = np.asarray(terms, dtype=float).ravel()
-    if terms.size >= _MAX_TERMS:
+    count = terms.size if count is None else count
+    if count >= _MAX_TERMS:
         return None
     bits = terms.view(np.uint64)
     exponent = (bits >> np.uint64(52)).view(np.int64) & _EXPONENT
@@ -409,7 +419,7 @@ def _exact_groups(terms) -> list[float] | None:
     leading_sums = np.bincount(exponent, weights=leading)
     # Each term lies below 2^(e - 1022) for its biased exponent e; beyond
     # 2^1020 in total an fsum partial could overflow (e = 2047: inf or NaN).
-    if leading_sums.size - 1 - 1022 + terms.size.bit_length() > 1020:
+    if leading_sums.size - 1 - 1022 + count.bit_length() > 1020:
         return None
     trailing_sums = np.bincount(exponent, weights=terms - leading)
     groups = np.concatenate((leading_sums, trailing_sums))

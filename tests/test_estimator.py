@@ -500,6 +500,19 @@ def test_direction_validation():
         directional_derivative(VARIANCE, make_sample([0.0, 1.0]), Direction([1.0]))
 
 
+@pytest.mark.parametrize("ratio, count", [
+    (5e-324, 2),  # the cancellation floor raises eps0 to inf
+    (0.999, 2000),  # every quotient is finite, the extrapolation is NaN
+])
+def test_schedule_without_a_finite_derivative_raises_probe_failure(ratio, count):
+    schedule = StepSchedule(ratio=ratio, count=count)
+    mu = make_measure([0.0, 0.5, 1.0], [1 / 3, 1 / 3, 1 / 3])
+    with pytest.raises(ProbeFailureError):
+        lions_derivative_at_atom(VARIANCE, mu, 1, schedule)
+    est = lions_derivative_grid(VARIANCE, make_sample([0.0, 0.5, 1.0]), 1, schedule)
+    assert est.failed_atoms == (0, 1, 2)
+
+
 def test_probe_failure_raises_for_scalar_ops():
     f = Functional(name="bad", params={}, evaluate=lambda mu: math.inf)
     with pytest.raises(ProbeFailureError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lionsderiv import (
+    DiscreteMeasure,
     FunctionalConfigError,
     FunctionalRegistry,
     NoClosedFormError,
@@ -151,6 +152,24 @@ def test_interaction_square_kernel_equals_variance_everywhere():
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", [[0.0, 0.0, 0.5], [0.0, 1.0, 0.0, -0.5], [0.3, -0.2, 0.5]])
+def test_interaction_probes_of_several_atoms_on_one_base_are_full_evaluations(kernel):
+    # One base serves probes that move different atoms, in any order, and
+    # the same atom again after another.
+    f = make_interaction(kernel)
+    mu = random_measure(np.random.default_rng(11), max_atoms=9)
+    value = f.shift_evaluator(mu)
+    atoms = mu.atoms
+    for i in (0, 1, 1, mu.n_atoms - 1, 0, mu.n_atoms // 2, 1):
+        lo = atoms[i - 1] if i > 0 else atoms[i] - 1.0
+        hi = atoms[i + 1] if i + 1 < mu.n_atoms else atoms[i] + 1.0
+        for y in (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi):
+            moved = np.array(atoms)
+            moved[i] = y
+            want = f(DiscreteMeasure(moved, mu.weights))
+            assert np.float64(value(i, float(y))).tobytes() == np.float64(want).tobytes()
+
 
 def test_potential_evaluation_and_derivative():
     phi = PotentialSpec((1.0, 2.0, 3.0))  # 1 + 2x + 3x^2

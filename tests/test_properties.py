@@ -470,3 +470,63 @@ def test_analytic_g_on_arrays_matches_scalar_loop(mu, f, xs):
     got = f.analytic_g(mu, np.array(xs, dtype=float))
     assert got.shape == (len(xs),)
     assert _bits(got) == _bits(np.array(_loop_analytic_g(f, mu, xs), dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# interaction against fsum over the full M x M matrix of scalar terms
+# ---------------------------------------------------------------------------
+
+def _reference_interaction(coeffs, mu):
+    """fsum over the terms (p_j*p_k) * w(x_j - x_k) of the whole matrix, row
+    by row, in Python floats; NaN where fsum raises."""
+    atoms, weights = mu.atoms.tolist(), mu.weights.tolist()
+    return _fsum_or_nan([(pj * pk) * _horner(coeffs, xj - xk)
+                         for xj, pj in zip(atoms, weights)
+                         for xk, pk in zip(atoms, weights)])
+
+
+def _only(parity):
+    return lambda coeffs: [c if k % 2 == parity else 0 for k, c in enumerate(coeffs)]
+
+
+interaction_kernels = st.one_of(
+    small_coefficients,
+    small_coefficients.map(_only(0)),  # even kernels: w(-u) == w(u)
+    small_coefficients.map(_only(1)),  # odd kernels: w(-u) == -w(u)
+    small_coefficients.map(lambda coeffs: [c * 1e300 for c in coeffs]),
+)
+
+
+@st.composite
+def wide_measures(draw, max_size=9):
+    """Atoms anywhere up to 1e308, so differences and terms can overflow."""
+    atoms = draw(st.lists(st.one_of(finite_values, st.floats(-1e308, 1e308)),
+                          min_size=1, max_size=max_size))
+    raw = draw(st.lists(raw_weights, min_size=len(atoms), max_size=len(atoms)))
+    total = math.fsum(raw)
+    return make_measure(atoms, [r / total for r in raw])
+
+
+@given(wide_measures(), interaction_kernels)
+@settings(max_examples=400, deadline=None)
+def test_interaction_is_fsum_over_the_full_matrix(mu, coeffs):
+    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 1e307], [0, 1e307], [1e300, -1e307, 1e307]])
+@pytest.mark.parametrize("gap", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.8, 1.5, 4.2, 4.3, 6.0])
+@pytest.mark.parametrize("n_atoms", [2, 3, 5])
+def test_interaction_near_the_overflow_threshold_is_fsum_or_nan(coeffs, gap, n_atoms):
+    # The largest terms go from below the 2^1020 bound of the exact groups,
+    # counted over all M^2 terms, to past the float range.
+    mu = make_measure([k * gap for k in range(n_atoms)], [1 / n_atoms] * n_atoms)
+    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
+
+
+@pytest.mark.parametrize("n_atoms", [600, 601])
+@pytest.mark.parametrize("coeffs", [[0, 0, 0.5], [0, 1, 0, -0.25], [0.1, 0.2, 0.5]])
+def test_interaction_over_many_pair_blocks_is_fsum_over_the_full_matrix(coeffs, n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    raw = rng.uniform(0.05, 1.0, n_atoms)
+    mu = make_measure(rng.uniform(-2.0, 2.0, n_atoms), raw / math.fsum(raw.tolist()))
+    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
