@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -119,15 +118,19 @@ class StepSchedule:
         its own cell's neighborhood.  ``fields`` set the other fields."""
         return cls(eps0=2.0 ** -as_level(level).n / 8.0, **fields)
 
-    def steps(self, at: float = 0.0) -> tuple[float, ...]:
-        """Concrete steps near position ``at``; the whole schedule is raised
-        if needed so the smallest step stays above the cancellation floor."""
-        floor = STEP_FLOOR * max(1.0, abs(at))
-        eps0 = self.eps0
-        smallest = eps0 * self.ratio ** (self.count - 1)
-        if smallest < floor:
-            eps0 = floor / self.ratio ** (self.count - 1)
-        return tuple(eps0 * self.ratio ** k for k in range(self.count))
+    def steps(self, at=0.0):
+        """Concrete steps near each position of ``at``: for an array, an
+        array with one row of ``count`` steps per position, for a scalar a
+        tuple.  Where the smallest step would fall below the cancellation
+        floor, the whole row is raised until it does not."""
+        at = np.asarray(at, dtype=float)
+        last = self.ratio ** (self.count - 1)
+        powers = np.array([self.ratio ** k for k in range(self.count)])
+        floor = STEP_FLOOR * np.maximum(1.0, np.abs(at))
+        with np.errstate(over="ignore"):
+            eps0 = np.where(self.eps0 * last < floor, floor / last, self.eps0)
+            steps = eps0[..., None] * powers
+        return steps if at.ndim else tuple(steps.tolist())
 
 
 @dataclass(frozen=True)
@@ -243,61 +246,57 @@ def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
 
 
 class _ShiftProbes:
-    """f at one-atom shifts of ``mu``, bit for bit as ``f(_shifted(mu, i, step))``,
-    and f(mu) itself, evaluated at most once.
+    """The one-atom shifts of ``mu``: probe (r, j) moves atom
+    ``indices[r]`` by ``shifts[r, j]``, and its measure is bit for bit
+    ``_shifted(mu, indices[r], shifts[r, j])``.
 
     Canonical weights depend only on the weights, and a shifted atom that
-    stays finite and strictly between its neighbours needs no sorting or
-    merging.  Such a probe is therefore the canonical form of ``mu``,
-    computed once, with one atom replaced, or the functional's incremental
-    ``shift_evaluator`` applied to that form.  Every other shift goes through
-    ``make_measure``, which keeps the merge-on-coincidence semantics.
+    stays finite and strictly between its neighbours (``inside``) needs no
+    sorting or merging.  Such a probe is therefore the canonical form of
+    ``mu``, computed once, with one atom replaced, and the functional's
+    incremental ``shift_evaluator`` may give its value.  Every other shift
+    goes through ``make_measure``, which keeps the merge-on-coincidence
+    semantics.
     """
 
-    def __init__(self, f, mu: DiscreteMeasure):
-        self.f = f
+    def __init__(self, mu: DiscreteMeasure, indices: np.ndarray, shifts: np.ndarray):
         self.mu = mu
+        self.indices = indices
+        self.shifts = shifts
         # Atom indices line up: the atoms of mu are strictly increasing, and
         # its weights sum to 1 within 1e-12, so renormalizing them cannot
         # round one to zero.
         self.canon = make_measure(mu.atoms, mu.weights)
-        self._atoms = self.canon.atoms.tolist()
+        atoms = self.canon.atoms
+        at = indices[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.positions = atoms[at] + shifts + 0.0
+        left = np.concatenate(([-math.inf], atoms[:-1]))[at]
+        right = np.concatenate((atoms[1:], [math.inf]))[at]
+        self.inside = (np.isfinite(self.positions) & (left < self.positions)
+                       & (self.positions < right))
+
+    def known_values(self, f) -> np.ndarray:
+        """f at every probe inside its gap from one call of f's
+        ``shift_evaluator``; NaN where it declines and at the other probes."""
+        values = np.full(self.shifts.shape, math.nan)
         factory = getattr(f, "shift_evaluator", None)
-        self.shifted_value = factory(self.canon) if factory is not None else None
+        if factory is None or not self.inside.any():
+            return values
+        shift_values = factory(self.canon)
+        if shift_values is not None:
+            indices = np.broadcast_to(self.indices[:, None], self.shifts.shape)
+            values[self.inside] = shift_values(indices[self.inside],
+                                               self.positions[self.inside])
+        return values
 
-    @cached_property
-    def _base_value(self):
-        return self.f(self.mu)
-
-    def base(self) -> float:
-        """f(mu); a non-finite value fails every call that asks for it."""
-        return _finite(self._base_value, "the unperturbed measure")
-
-    def _fast_position(self, i: int, step: float) -> float | None:
-        """The shifted atom's position when it stays strictly inside its gap."""
-        atoms = self._atoms
-        y = atoms[i] + step + 0.0
-        above_left = i == 0 or atoms[i - 1] < y
-        below_right = i + 1 == len(atoms) or y < atoms[i + 1]
-        return y if math.isfinite(y) and above_left and below_right else None
-
-    def measure(self, i: int, step: float) -> DiscreteMeasure:
-        y = self._fast_position(i, step)
-        if y is None:
-            return _shifted(self.mu, i, step)
+    def measure(self, r: int, j: int) -> DiscreteMeasure:
+        i = self.indices[r]
+        if not self.inside[r, j]:
+            return _shifted(self.mu, i, self.shifts[r, j])
         atoms = np.array(self.canon.atoms)
-        atoms[i] = y
+        atoms[i] = self.positions[r, j]
         return DiscreteMeasure(atoms, self.canon.weights)
-
-    def value(self, i: int, step: float) -> float:
-        value = None
-        if self.shifted_value is not None:
-            y = self._fast_position(i, step)
-            if y is not None:
-                value = self.shifted_value(i, y)
-        if value is None:
-            value = self.f(self.measure(i, step))
-        return _finite(value, f"atom {i} shifted by {step!r}")
 
 
 def _mass_moved(mu: DiscreteMeasure, i: int, frac: float, eps: float) -> DiscreteMeasure:
@@ -320,85 +319,140 @@ def _finite(value: float, context: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Richardson extrapolation
+# Difference quotients and Richardson extrapolation, a row per atom
 # ---------------------------------------------------------------------------
 
-def _richardson(quotients, ratio: float, order0: int, order_step: int) -> tuple[float, float]:
-    """Triangular extrapolation; returns (value, |last increment|)."""
-    col = [float(q) for q in quotients]
-    m = len(col) - 1
+def _signed_steps(steps: np.ndarray, mode: str) -> np.ndarray:
+    """Each row's probe shifts in probe order: eps_0, eps_1, ... one-sided,
+    eps_0, -eps_0, eps_1, -eps_1, ... central."""
+    if mode == "one_sided":
+        return steps
+    return np.stack((steps, -steps), axis=-1).reshape(len(steps), 2 * steps.shape[1])
+
+
+def _quotients(shifts: np.ndarray, scale: np.ndarray, mode: str,
+               base: Callable[[], float], probe: Callable[[int, int], float],
+               where: Callable[[int, int], str], values: np.ndarray | None = None
+               ) -> tuple[np.ndarray, list[ProbeFailureError | None]]:
+    """Difference quotients, a row per row of ``shifts``, and per row the
+    failure that ends it, or None.
+
+    Row r's quotients are [v(eps) - base] / (eps * scale[r]) one-sided and
+    [v(eps) - v(-eps)] / (2 eps * scale[r]) central, at each step eps of
+    the row; ``shifts`` holds them in probe order (see ``_signed_steps``).
+    A row whose steps are not all finite, or whose denominators underflow
+    to 0, fails before any probe.  ``base`` raises
+    :class:`ProbeFailureError` where f(mu) is not finite; it is called at
+    most once, and only in one-sided mode when some row passes those
+    checks.  ``values`` holds the probe values known in advance, NaN
+    elsewhere.  The others ``probe(r, j)`` evaluates in full, row by row in
+    probe order, and a row stops at its first non-finite value, described
+    by ``where(r, j)``.
+    """
+    one_sided = mode == "one_sided"
+    steps = shifts if one_sided else shifts[:, 0::2]
+    with np.errstate(over="ignore"):
+        denominators = (steps if one_sided else 2.0 * steps) * scale[:, None]
+    bad_steps = ~np.isfinite(steps).all(axis=1)
+    stopped = bad_steps | (denominators == 0.0).any(axis=1)
+    failures: list[ProbeFailureError | None] = [None] * len(steps)
+    for r in np.flatnonzero(stopped).tolist():
+        failures[r] = ProbeFailureError(
+            f"the steps {tuple(steps[r].tolist())!r} are not all finite" if bad_steps[r]
+            else f"a step times the weight {scale[r].item()!r} underflows to 0")
+    live = np.flatnonzero(~stopped)
+    values = np.full(shifts.shape, math.nan) if values is None else values
+    b = math.nan
+    if one_sided and live.size:
+        try:
+            b = base()
+        except ProbeFailureError as exc:
+            for r in live.tolist():
+                failures[r] = exc
+            live = live[:0]
+    for r in live[~np.isfinite(values[live]).all(axis=1)].tolist():
+        row = values[r]
+        try:
+            for j in range(row.size):
+                if math.isnan(row[j]):
+                    row[j] = float(probe(r, j))
+                _finite(row[j], where(r, j))
+        except ProbeFailureError as exc:
+            failures[r] = exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        differences = values - b if one_sided else values[:, 0::2] - values[:, 1::2]
+        return differences / denominators, failures
+
+
+def _richardson(quotients: np.ndarray, ratio: float, order0: int,
+                order_step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Triangular extrapolation of each row; returns (values, |last
+    increments|).  A factor past the float range reads as inf, so the
+    extrapolation comes out NaN."""
+    col = np.array(quotients, dtype=float)
+    m = col.shape[1] - 1
     r = 1.0 / ratio
-    before_last = col[m]
-    for stage in range(1, m + 1):
-        factor = r ** (order0 + (stage - 1) * order_step)
-        before_last = col[m]
-        for k in range(m, stage - 1, -1):
-            col[k] = (factor * col[k] - col[k - 1]) / (factor - 1.0)
-    return col[m], abs(col[m] - before_last)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stage in range(1, m + 1):
+            try:
+                factor = r ** (order0 + (stage - 1) * order_step)
+            except OverflowError:
+                factor = math.inf
+            before_last = col[:, m].copy()
+            # Column k takes the old column k - 1, as in a loop from k = m down.
+            col[:, stage:] = (factor * col[:, stage:] - col[:, stage - 1:m]) / (factor - 1.0)
+        return col[:, m], np.abs(col[:, m] - before_last)
 
 
-def _extrapolate(quotients, schedule: StepSchedule) -> tuple[float, float]:
+def _extrapolate(quotients: np.ndarray, schedule: StepSchedule) -> tuple[np.ndarray, np.ndarray]:
     if schedule.mode == "central":
         return _richardson(quotients, schedule.ratio, 2, 2)
     return _richardson(quotients, schedule.ratio, 1, 1)
-
-
-def _quotients(value_at: Callable[[float], float], steps, mode: str,
-               base: Callable[[], float], scale: float = 1.0) -> np.ndarray:
-    """[v(eps) - base] / (eps * scale) one-sided, [v(eps) - v(-eps)] /
-    (2 eps * scale) central, at each step; +eps is probed before -eps.
-
-    ``base`` is called once, before any probe, and only in one-sided mode.
-    A step that is not finite, or a denominator that underflows to 0,
-    raises :class:`ProbeFailureError` before any probe.
-    """
-    if not all(math.isfinite(eps) for eps in steps):
-        raise ProbeFailureError(f"the steps {tuple(steps)!r} are not all finite")
-    one_sided = mode == "one_sided"
-    denominators = [(eps if one_sided else 2.0 * eps) * scale for eps in steps]
-    if 0.0 in denominators:
-        raise ProbeFailureError(f"a step times the weight {scale!r} underflows to 0")
-    quots = np.empty(len(steps))
-    if one_sided:
-        b = base()
-        for k, (eps, d) in enumerate(zip(steps, denominators)):
-            quots[k] = (value_at(eps) - b) / d
-    else:
-        for k, (eps, d) in enumerate(zip(steps, denominators)):
-            quots[k] = (value_at(eps) - value_at(-eps)) / d
-    return quots
 
 
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
 
+def _shift_quotients(f, mu: DiscreteMeasure, indices: np.ndarray,
+                     schedule: StepSchedule
+                     ) -> tuple[np.ndarray, list[ProbeFailureError | None]]:
+    """The atom-shift quotients of atoms ``indices`` of ``mu``, a row per
+    atom, and per atom the failure that ends it, or None (see
+    ``_quotients``).  The functional's ``shift_evaluator`` values every
+    probe inside its gap in one call; the probes it declines, and the
+    others, are evaluated in full, atom by atom."""
+    shifts = _signed_steps(schedule.steps(at=mu.atoms[indices]), schedule.mode)
+    probes = _ShiftProbes(mu, indices, shifts)
+    return _quotients(
+        shifts, mu.weights[indices], schedule.mode,
+        lambda: _finite(f(mu), "the unperturbed measure"),
+        lambda r, j: f(probes.measure(r, j)),
+        lambda r, j: f"atom {indices[r]} shifted by {shifts[r, j].item()!r}",
+        probes.known_values(f))
+
+
 def atom_shift_quotients(f, mu: DiscreteMeasure, i: int,
-                         schedule: StepSchedule | None = None,
-                         *, _probes: _ShiftProbes | None = None) -> np.ndarray:
+                         schedule: StepSchedule | None = None) -> np.ndarray:
     """Raw difference quotients at each schedule step, before extrapolation.
 
     In one_sided mode this is the literal Dirac-shift quotient
     [f(mu shifted) - f(mu)] / (eps * p_i) per step -- the fidelity surface
-    the tests pin against hand-derived expansions.  ``_probes`` lets a
-    caller probing many atoms of one measure share its probe state,
-    f(mu) included.
+    the tests pin against hand-derived expansions.
     """
     schedule = schedule if schedule is not None else StepSchedule()
-    i = _check_index(mu, i)
-    probes = _probes if _probes is not None else _ShiftProbes(f, mu)
-    return _quotients(lambda eps: probes.value(i, eps),
-                      schedule.steps(at=float(mu.atoms[i])), schedule.mode, probes.base,
-                      scale=float(mu.weights[i]))
+    quots, (failure,) = _shift_quotients(f, mu, np.array([_check_index(mu, i)]), schedule)
+    if failure is not None:
+        raise failure
+    return quots[0]
 
 
 def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
-                             schedule: StepSchedule | None = None,
-                             *, _probes: _ShiftProbes | None = None
-                             ) -> tuple[float, float]:
+                             schedule: StepSchedule | None = None) -> tuple[float, float]:
     """Derivative of the functional at atom i of ``mu``.
 
-    Extrapolates the atom-shift quotients over the step schedule.
+    Extrapolates the atom-shift quotients over the step schedule, on the
+    same path as :func:`lions_derivative_grid` takes for every atom.
 
     Parameters
     ----------
@@ -424,8 +478,8 @@ def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
         extrapolated value or its error is not finite.
     """
     schedule = schedule if schedule is not None else StepSchedule()
-    quots = atom_shift_quotients(f, mu, i, schedule, _probes=_probes)
-    value, error = _extrapolate(quots, schedule)
+    quots = atom_shift_quotients(f, mu, i, schedule)
+    (value,), (error,) = (a.tolist() for a in _extrapolate(quots[None], schedule))
     if not (math.isfinite(value) and math.isfinite(error)):
         raise ProbeFailureError(
             f"extrapolation at atom {i} gives {value!r} with error {error!r}")
@@ -437,51 +491,46 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
                           schedule: StepSchedule | None = None) -> DerivativeEstimate:
     """Quantize the sample, form its law, differentiate at every grid atom.
 
-    Per-atom computations are independent and order-free.  An atom whose
-    probe returns a non-finite value, or whose extrapolated value or error
-    is not finite, is flagged (NaN entries plus ``failed_atoms``), never a
-    global abort; so is an atom whose steps the cancellation floor raised
-    until they reach a neighbouring atom.  An exception raised by the
-    functional itself propagates.
+    All atoms are probed in one pass over arrays.  An atom whose probe
+    returns a non-finite value, or whose extrapolated value or error is not
+    finite, is flagged (NaN entries plus ``failed_atoms``), never a global
+    abort; so is an atom whose steps the cancellation floor raised until
+    they reach a neighbouring atom.  An exception raised by the functional
+    itself propagates.
     """
     level = as_level(level)
     schedule = schedule if schedule is not None else StepSchedule.for_level(level)
     mu = law_of(dyadic_quantize(sample, level))
+    indices = np.flatnonzero(~_floor_reaches_neighbour(schedule, mu))
+    quots, failures = _shift_quotients(f, mu, indices, schedule)
+    value, error = _extrapolate(quots, schedule)
+    ok = np.isfinite(value) & np.isfinite(error) & np.array([e is None for e in failures], bool)
     g = np.full(mu.n_atoms, math.nan)
     err = np.full(mu.n_atoms, math.nan)
-    failed: list[int] = []
-    probes = _ShiftProbes(f, mu)
-    for i in range(mu.n_atoms):
-        if not _floor_reaches_neighbour(schedule, mu, i):
-            try:
-                g[i], err[i] = lions_derivative_at_atom(f, mu, i, schedule,
-                                                        _probes=probes)
-                continue
-            except ProbeFailureError:
-                pass  # flagged below
-        failed.append(i)
+    g[indices[ok]] = value[ok]
+    err[indices[ok]] = error[ok]
     return DerivativeEstimate(
         level=level,
         grid_atoms=mu.atoms,
         g_values=g,
         error_estimates=err,
-        failed_atoms=tuple(failed),
+        failed_atoms=tuple(np.flatnonzero(np.isnan(g)).tolist()),
     )
 
 
-def _floor_reaches_neighbour(schedule: StepSchedule, mu: DiscreteMeasure,
-                             i: int) -> bool:
-    """Whether the cancellation floor raised the steps at atom i until the
+def _floor_reaches_neighbour(schedule: StepSchedule, mu: DiscreteMeasure) -> np.ndarray:
+    """Per atom, whether the cancellation floor raised its steps until the
     largest reaches a neighbouring atom on a side the probes shift to (the
     right one-sided, both central): the probes then reorder the atoms and
     differentiate another measure.  Steps the caller chose that reach a
     neighbour merge with it, as meant."""
-    eps = schedule.steps(at=float(mu.atoms[i]))[0]
-    if eps == schedule.eps0:
-        return False
-    lo = i if schedule.mode == "one_sided" else max(i - 1, 0)
+    eps = schedule.steps(at=mu.atoms)[:, 0]
     with np.errstate(over="ignore"):  # a gap past the float range is inf
-        return eps >= np.diff(mu.atoms[lo:i + 2]).min(initial=math.inf)
+        gaps = np.diff(mu.atoms)
+    reach = eps >= np.append(gaps, math.inf)
+    if schedule.mode == "central":
+        reach |= eps >= np.insert(gaps, 0, math.inf)
+    return reach & (eps != schedule.eps0)
 
 
 def _cell_index(level: QuantizationLevel, atoms: np.ndarray, xs) -> np.ndarray:
@@ -558,6 +607,22 @@ def refine_until_converged(f, sample: EmpiricalSample, tol: float,
     )
 
 
+def _extrapolated(f, at: float, schedule: StepSchedule | None, base, measure_at,
+                  where: Callable[[float], str]) -> float:
+    """The extrapolated limit of the quotients of ``f(measure_at(eps))``
+    over the schedule's steps near ``at``, with weight 1; probe failures
+    raise."""
+    schedule = schedule if schedule is not None else StepSchedule()
+    shifts = _signed_steps(schedule.steps(at=np.array([at])), schedule.mode)
+    quots, (failure,) = _quotients(
+        shifts, np.ones(1), schedule.mode, base,
+        lambda r, j: f(measure_at(shifts[r, j].item())),
+        lambda r, j: where(shifts[r, j].item()))
+    if failure is not None:
+        raise failure
+    return _extrapolate(quots, schedule)[0].item()
+
+
 def partial_mass_perturbation(f, mu: DiscreteMeasure, i: int, q: float,
                               schedule: StepSchedule | None = None) -> float:
     """Extrapolated limit of [f(mu with mass q*p_i moved to x_i + eps) - f(mu)] / eps.
@@ -567,39 +632,27 @@ def partial_mass_perturbation(f, mu: DiscreteMeasure, i: int, q: float,
     p_i times the atom derivative.  Central mode moves the mass to x_i - eps
     for the second evaluation.
     """
-    schedule = schedule if schedule is not None else StepSchedule()
     i = _check_index(mu, i)
     q = float(q)
     if not (0.0 < q <= 1.0):
         raise EstimatorError(f"mass fraction must lie in (0, 1], got {q!r}")
-
-    def value_at(eps: float) -> float:
-        return _finite(f(_mass_moved(mu, i, q, eps)),
-                       f"mass {q!r} of atom {i} moved by {eps!r}")
-
-    quots = _quotients(value_at, schedule.steps(at=float(mu.atoms[i])), schedule.mode,
-                       lambda: _finite(f(mu), "the unperturbed measure"))
-    value, _ = _extrapolate(quots, schedule)
-    return value
+    return _extrapolated(
+        f, float(mu.atoms[i]), schedule,
+        lambda: _finite(f(mu), "the unperturbed measure"),
+        lambda eps: _mass_moved(mu, i, q, eps),
+        lambda eps: f"mass {q!r} of atom {i} moved by {eps!r}")
 
 
 def directional_derivative(f, sample: EmpiricalSample, eta: Direction,
                            schedule: StepSchedule | None = None) -> float:
     """Extrapolated limit of [F(sample + eps * eta) - F(sample)] / eps,
     where F is the lift f(law of .)."""
-    schedule = schedule if schedule is not None else StepSchedule()
     if eta.values.size != sample.size:
         raise EstimatorError(
             f"direction length {eta.values.size} != sample length {sample.size}"
         )
-    at = float(np.max(np.abs(sample.values))) if sample.size else 0.0
-
-    def value_at(eps_signed: float) -> float:
-        moved = EmpiricalSample(sample.values + eps_signed * eta.values,
-                                sample.weights)
-        return _finite(f(law_of(moved)), f"sample displaced by {eps_signed!r} * eta")
-
-    quots = _quotients(value_at, schedule.steps(at=at), schedule.mode,
-                       lambda: _finite(f(law_of(sample)), "the unperturbed sample's law"))
-    value, _ = _extrapolate(quots, schedule)
-    return value
+    return _extrapolated(
+        f, float(np.max(np.abs(sample.values))) if sample.size else 0.0, schedule,
+        lambda: _finite(f(law_of(sample)), "the unperturbed sample's law"),
+        lambda eps: law_of(EmpiricalSample(sample.values + eps * eta.values, sample.weights)),
+        lambda eps: f"sample displaced by {eps!r} * eta")

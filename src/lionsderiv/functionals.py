@@ -33,7 +33,6 @@ bit (see :func:`make_interaction`).
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measure import DiscreteMeasure, _exact_groups, _exact_sum, mean
+from .measure import DiscreteMeasure, _exact_groups, _exact_sum, _fsum_or_nan, mean
 
 __all__ = [
     "Functional",
@@ -119,7 +118,7 @@ class PotentialSpec:
         return float(np.max(np.abs(self.values(np.linspace(lo, hi, samples)))))
 
 
-ShiftValue = Callable[[int, float], float | None]
+ShiftValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -135,19 +134,23 @@ class Functional:
 
     ``shift_evaluator``, when present, makes the estimator's one-atom shift
     probes cheap.  ``shift_evaluator(canon)`` is called once per canonical
-    base measure and returns ``value(i, y)``, which must equal
-    ``evaluate(canon with atom i moved to y)`` bit for bit, weights kept,
-    for every finite ``y`` strictly between atoms i-1 and i+1.  ``value``
-    returns None to decline one probe and the factory returns None to
-    decline a base measure; declined probes are evaluated in full.  The
-    built-ins all have one: ``linear``, ``mean_square`` and ``variance``
-    re-sum in O(1) per probe, ``interaction`` in O(M) for M atoms, where a
-    full evaluation costs O(M) and O(M^2); each keeps O(M) memory per base
-    measure.  Both rest on exact summation: the exactly rounded sum of the
-    base terms with some swapped for new ones is the sum a full evaluation
-    forms.  A functional added with :func:`register` opts in by passing
-    ``shift_evaluator=`` to its ``Functional``; left None, every probe is
-    evaluated in full.
+    base measure and returns ``values(indices, positions)``, which takes an
+    int and a float array of the same length, in any order and with
+    repeats, and returns a float array of that length.  Entry k must equal
+    ``evaluate(canon with atom indices[k] moved to positions[k])`` bit for
+    bit, weights kept, for every finite position strictly between the
+    atom's neighbours; it is NaN where ``values`` declines the probe.  The
+    factory returns None to decline a base measure.  Declined probes are
+    evaluated in full, atom by atom in probe order, and an atom stops at its
+    first non-finite value, so ``evaluate`` sees the probes it would see
+    without the evaluator.  The built-ins all have one: ``linear``,
+    ``mean_square`` and ``variance`` re-sum in O(1) per probe,
+    ``interaction`` in O(M) for M atoms, where a full evaluation costs O(M)
+    and O(M^2); each keeps O(M) memory per base measure.  Both rest on exact
+    summation: the exactly rounded sum of the base terms with some swapped
+    for new ones is the sum a full evaluation forms.  A functional added
+    with :func:`register` opts in by passing ``shift_evaluator=`` to its
+    ``Functional``; left None, every probe is evaluated in full.
     """
 
     name: str
@@ -156,7 +159,7 @@ class Functional:
     analytic_derivative: Callable[[DiscreteMeasure, np.ndarray], np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
-    shift_evaluator: Callable[[DiscreteMeasure], ShiftValue | None] | None = field(
+    shift_evaluator: Callable[[DiscreteMeasure], ShiftValues | None] | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -181,17 +184,19 @@ class _ExactSum:
     """Exact sum of a term array, re-summed with a few terms swapped.
 
     ``partials`` are a few nonzero floats, largest first, whose exact sum is
-    the exact sum of the terms: exact per-exponent group sums, as
-    :func:`~lionsderiv.measure._exact_groups` gives them, rounded off one
-    float at a time.  ``math.fsum`` returns the correctly rounded exact sum
+    the exact sum of the terms, rounded off one float at a time from the
+    terms themselves or from their exact per-exponent group sums, as
+    :func:`~lionsderiv.measure._exact_groups` gives them; fsum over either
+    must not overflow.  ``math.fsum`` returns the correctly rounded exact sum
     of its inputs, so ``fsum(partials + [-old..., new...])`` is bitwise
     equal to ``fsum`` over the full term array with the old terms replaced
     by the new ones, at a cost set by the number of terms swapped, not by
-    the length of the array.
+    the length of the array.  Any floats whose exact sum is that of the old
+    terms negated serve as well as those terms.
     """
 
-    def __init__(self, groups: list[float]):
-        rest = list(groups)
+    def __init__(self, terms: list[float]):
+        rest = list(terms)
         self.partials: list[float] = []
         while p := math.fsum(rest):
             self.partials.append(p)
@@ -203,15 +208,14 @@ class _ExactSum:
         groups = _exact_groups(terms)
         return None if groups is None else cls(groups)
 
-    def plus(self, terms: list[float]) -> float | None:
-        """Sum with ``terms`` added; None when it is not finite or fsum
-        raises, where a full evaluation could flag the probe or fail
-        differently."""
-        try:
-            total = math.fsum(self.partials + terms)
-        except (ValueError, OverflowError):
-            return None
-        return total if math.isfinite(total) else None
+    def plus(self, rows) -> np.ndarray:
+        """Per list of terms in ``rows``, the sum with those terms added, as
+        an array; NaN where it is not finite or fsum raises, where a full
+        evaluation could flag the probe or fail differently."""
+        partials = self.partials
+        sums = np.array([_fsum_or_nan(partials + terms) for terms in rows], dtype=float)
+        sums[~np.isfinite(sums)] = math.nan
+        return sums
 
 
 def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
@@ -219,9 +223,9 @@ def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
     with S_k the exactly rounded sum of the k-th per-atom term array.
 
     ``terms(weights, atoms)`` is applied to the arrays of a measure and to
-    the Python floats of one moved atom, so both see the same operations in
-    the same order and the moved atom's terms are the ones ``evaluate``
-    would form.
+    those of the moved atoms, one entry per probe, so both see the same
+    operations in the same order and a moved atom's terms are the ones
+    ``evaluate`` would form.  ``combine`` works elementwise on arrays.
     """
 
     def term_arrays(mu: DiscreteMeasure):
@@ -231,22 +235,20 @@ def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
     def evaluate(mu: DiscreteMeasure) -> float:
         return combine(*(_exact_sum(t) for t in term_arrays(mu)))
 
-    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValue | None:
+    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValues | None:
         arrays = term_arrays(canon)
         sums = [_ExactSum.of(t) for t in arrays]
         if any(s is None for s in sums):
             return None
-        olds = [t.tolist() for t in arrays]
-        weights = canon.weights.tolist()
 
-        def value(i: int, y: float) -> float | None:
-            totals = [s.plus([-old[i], t])
-                      for s, old, t in zip(sums, olds, terms(weights[i], y))]
-            if any(t is None for t in totals):
-                return None
-            return combine(*totals)
+        def values(indices: np.ndarray, positions: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):
+                news = terms(canon.weights[indices], positions)
+                totals = [s.plus(map(list, zip((-old[indices]).tolist(), new.tolist())))
+                          for s, old, new in zip(sums, arrays, news)]
+                return combine(*totals)
 
-        return value
+        return values
 
     return evaluate, shift_evaluator
 
@@ -383,34 +385,47 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
             terms = (weights[:, None] * weights) * spec.values(atoms[:, None] - atoms)
         return _exact_sum(terms)
 
-    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValue | None:
+    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValues | None:
         groups = pair_groups(canon)
         if groups is None:
             return None
         total = _ExactSum(groups)
         atoms, weights = canon.atoms, canon.weights
         line_weights = np.concatenate((weights, weights))
+        probes_per_chunk = max(1, _PAIR_BLOCK // line_weights.size)
+        # Per atom, a few floats whose exact sum is that of its old lines
+        # negated.  Those lines are terms of the base, which pair_groups
+        # found finite and far from overflow, so fsum over them cannot raise.
+        old_lines: dict[int, list[float]] = {}
 
-        def lines(i: int, y: float) -> np.ndarray:
-            """Row i, (w_i*w_k) * w(y - x_k), then column i, (w_k*w_i) *
-            w(x_k - y), of the M x M terms with atom i at y."""
-            moved = atoms.copy()
-            moved[i] = y
+        def lines(i: np.ndarray, y: np.ndarray) -> np.ndarray:
+            """Per entry of ``i`` and ``y``: row i, (w_i*w_k) * w(y - x_k),
+            then column i, (w_k*w_i) * w(x_k - y), of the M x M terms with
+            atom i at y."""
+            moved = np.repeat(atoms[None, :], i.size, axis=0)
+            moved[np.arange(i.size), i] = y
+            y = y[:, None]
             with np.errstate(over="ignore", invalid="ignore"):
-                return (weights[i] * line_weights) * spec.values(
-                    np.concatenate((y - moved, moved - y)))
+                return (weights[i, None] * line_weights) * spec.values(
+                    np.concatenate((y - moved, moved - y), axis=1))
 
-        @functools.lru_cache(maxsize=1)  # the probes of one atom come in a row
-        def old_lines(i: int) -> list[float]:
-            return (-lines(i, float(atoms[i]))).tolist()
-
-        def value(i: int, y: float) -> float | None:
+        def values(indices: np.ndarray, positions: np.ndarray) -> np.ndarray:
             # Moving atom i changes row i and column i.  Both hold the
             # diagonal term w_i^2 * w(0), whose bits do not change, so
-            # swapping both whole lines, old for new, is exact.
-            return total.plus(lines(i, y).tolist() + old_lines(i))
+            # swapping both whole lines, old for new, is exact.  Chunks of
+            # probes keep each lines array within _PAIR_BLOCK terms.
+            out = np.empty(indices.size)
+            for a in range(0, indices.size, probes_per_chunk):
+                chunk = slice(a, a + probes_per_chunk)
+                i = indices[chunk]
+                first = np.array(sorted(set(i.tolist()) - old_lines.keys()), dtype=int)
+                for k, line in zip(first.tolist(), (-lines(first, atoms[first])).tolist()):
+                    old_lines[k] = _ExactSum(line).partials
+                out[chunk] = total.plus(line.tolist() + old_lines[k] for line, k in
+                                        zip(lines(i, positions[chunk]), i.tolist()))
+            return out
 
-        return value
+        return values
 
     def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
         # One exact sum per point; an N x M matrix of terms would cost memory.

@@ -434,8 +434,12 @@ def _exact_sum(terms) -> float:
     groups = _exact_groups(terms)
     if groups is not None:
         return math.fsum(groups)
+    return _fsum_or_nan(np.asarray(terms, dtype=float).ravel().tolist())
+
+
+def _fsum_or_nan(terms: list[float]) -> float:
     try:
-        return math.fsum(np.asarray(terms, dtype=float).ravel().tolist())
+        return math.fsum(terms)
     except (ValueError, OverflowError):
         return math.nan
 

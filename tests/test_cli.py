@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lionsderiv import (
     Functional,
@@ -442,6 +444,19 @@ def test_verify_skips_oracle_when_the_derivative_overflows(workdir, spec):
     assert "no closed form" in oracle["reason"]
 
 
+def test_estimate_flags_a_richardson_factor_past_the_float_range(workdir):
+    # (1 / 1e-160)^2 overflows: the atom is flagged, as for any extrapolation
+    # that is not finite, instead of ending in a traceback.
+    inp = write(workdir / "s.csv", "0.0\n")
+    cfg = write(workdir / "cfg.json", json.dumps({"ratio": 1e-160, "count": 2}))
+    code = main(["estimate", "--config", cfg, "--input", inp, "--functional",
+                 '{"name":"variance"}', "--level", "1", "--out", "grid.csv"])
+    assert code == 3
+    report = json.loads((workdir / "grid.report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["failed_atoms"] == [0]
+
+
 def test_verify_oracle_without_a_finite_third_derivative(workdir):
     # phi = 1e306 x^10 has a finite derivative, but the Taylor bound needs
     # the third one, 720e306 x^7, which overflows: the generic rule applies.
@@ -466,3 +481,47 @@ def test_flags_override_config(workdir):
     assert main(["estimate", "--config", cfg, "--input", inp]) == 3
     assert main(["estimate", "--config", cfg, "--input", inp,
                  "--tol", "1e-2", "--levels", "2..12"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# robustness: any input ends in an exit code, never in a traceback
+# ---------------------------------------------------------------------------
+
+extreme_values = st.one_of(
+    st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False),
+    st.integers(-64, 64).map(float),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, 1e6, 1e6 + 1]),
+)
+extreme_weights = st.one_of(
+    st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300, 1e-30, 0.5, 1.0, 1e300]),
+    st.floats(1e-320, 1.0, allow_nan=False, allow_infinity=False),
+)
+FUZZ_FUNCTIONALS = (
+    '{"name":"variance"}',
+    '{"name":"mean_square"}',
+    '{"name":"linear","phi":[0,1,0.5]}',
+    '{"name":"interaction","w":[0,0,0.5]}',
+)
+
+
+@given(command=st.sampled_from(["estimate", "verify", "study"]),
+       functional=st.sampled_from(FUZZ_FUNCTIONALS),
+       records=st.lists(st.tuples(extreme_values, extreme_weights), min_size=1, max_size=6),
+       weighted=st.booleans(), level=st.integers(0, 1023),
+       mode=st.sampled_from(["central", "one_sided"]))
+@settings(max_examples=60, deadline=None)
+def test_any_sample_ends_in_an_exit_code_and_strict_json(
+        command, functional, records, weighted, level, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "s.csv"
+        inp.write_text("".join(f"{v!r},{w!r}\n" if weighted else f"{v!r}\n"
+                               for v, w in records))
+        out = Path(tmp) / ("out.json" if command == "verify" else "out.csv")
+        levels = ["--level", str(level)] if command != "study" else [
+            "--levels", f"{level}..{min(level + 1, 1023)}"]
+        code = main([command, "--input", str(inp), "--functional", functional,
+                     "--mode", mode, "--out", str(out), *levels])
+        assert code in (0, 1, 2, 3, 4)
+        reports = {"estimate": Path(tmp) / "out.report.json", "verify": out}
+        if code not in (1, 2) and command in reports:
+            json.loads(reports[command].read_text(), parse_constant=_reject_constant)

@@ -9,6 +9,7 @@ Oracle checklist:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,40 @@ def test_grid_flags_probe_failures_per_atom():
     assert est.failed_atoms == (1,)
     assert math.isnan(est.g_values[1])
     assert not math.isnan(est.g_values[0])
+
+
+def test_grid_stops_an_atom_at_its_first_non_finite_probe():
+    # A functional without a shift evaluator sees its probes one at a time,
+    # atom by atom, in probe order: after atom 0's first probe (+eps0) gives
+    # NaN, no later probe of atom 0 is evaluated.
+    def fragile(mu):
+        if mu.atoms[0] == 0.125:
+            return math.nan
+        if mu.atoms[0] != 0.0:
+            raise RuntimeError(f"atom 0 probed again at {mu.atoms[0]!r}")
+        return float(np.dot(mu.weights, mu.atoms))
+
+    f = Functional(name="fragile", params={}, evaluate=fragile)
+    est = lions_derivative_grid(f, make_sample([0.0, 1.0]), 0, StepSchedule(eps0=0.125))
+    assert est.failed_atoms == (0,)
+    assert est.g_values[1] == pytest.approx(1.0)
+
+
+def test_interaction_grid_memory_stays_far_below_one_lines_array_for_all_probes():
+    # 600 atoms, one-sided with two steps: 1200 probes, each moving one row
+    # and one column of the 600 x 600 terms.  Those lines as one array would
+    # take 1200 * 1200 * 8 bytes, about 11 MiB; chunks of probes keep them
+    # within _PAIR_BLOCK terms at a time.
+    sample = make_sample(np.arange(600) / 1024.0)
+    schedule = StepSchedule.for_level(10, count=2, mode="one_sided")
+    tracemalloc.start()
+    try:
+        est = lions_derivative_grid(make_interaction([0.0, 0.0, 0.5]), sample, 10, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_atoms == 600 and est.failed_atoms == ()
+    assert peak < 1200 * 1200 * 8 / 4
 
 
 def test_grid_flags_non_finite_extrapolation_per_atom():
@@ -503,6 +538,7 @@ def test_direction_validation():
 @pytest.mark.parametrize("ratio, count", [
     (5e-324, 2),  # the cancellation floor raises eps0 to inf
     (0.999, 2000),  # every quotient is finite, the extrapolation is NaN
+    (1e-160, 2),  # the Richardson factor (1 / ratio)^2 is past the float range
 ])
 def test_schedule_without_a_finite_derivative_raises_probe_failure(ratio, count):
     schedule = StepSchedule(ratio=ratio, count=count)

@@ -29,6 +29,7 @@ from lionsderiv import (
     make_variance,
 )
 
+import lionsderiv.functionals as functionals_module
 from conftest import random_measure
 
 HALF_HALF = make_measure([0.0, 1.0], [0.5, 0.5])
@@ -154,21 +155,27 @@ def test_interaction_square_kernel_equals_variance_everywhere():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kernel", [[0.0, 0.0, 0.5], [0.0, 1.0, 0.0, -0.5], [0.3, -0.2, 0.5]])
-def test_interaction_probes_of_several_atoms_on_one_base_are_full_evaluations(kernel):
-    # One base serves probes that move different atoms, in any order, and
-    # the same atom again after another.
+def test_interaction_probes_of_several_atoms_on_one_base_are_full_evaluations(
+        kernel, monkeypatch):
+    # One call serves probes that move different atoms, in any order, and
+    # the same atom again after another, in one chunk of probes or in many.
     f = make_interaction(kernel)
     mu = random_measure(np.random.default_rng(11), max_atoms=9)
-    value = f.shift_evaluator(mu)
     atoms = mu.atoms
+    indices, positions, want = [], [], []
     for i in (0, 1, 1, mu.n_atoms - 1, 0, mu.n_atoms // 2, 1):
         lo = atoms[i - 1] if i > 0 else atoms[i] - 1.0
         hi = atoms[i + 1] if i + 1 < mu.n_atoms else atoms[i] + 1.0
         for y in (0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi):
             moved = np.array(atoms)
             moved[i] = y
-            want = f(DiscreteMeasure(moved, mu.weights))
-            assert np.float64(value(i, float(y))).tobytes() == np.float64(want).tobytes()
+            indices.append(i)
+            positions.append(y)
+            want.append(f(DiscreteMeasure(moved, mu.weights)))
+    for block in (functionals_module._PAIR_BLOCK, 3 * mu.n_atoms):
+        monkeypatch.setattr(functionals_module, "_PAIR_BLOCK", block)
+        got = f.shift_evaluator(mu)(np.array(indices), np.array(positions))
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_potential_evaluation_and_derivative():

@@ -23,6 +23,7 @@ from lionsderiv import (
     dyadic_quantize,
     g_tilde_values,
     law_of,
+    lions_derivative_grid,
     make_interaction,
     make_linear,
     make_mean_square,
@@ -31,7 +32,7 @@ from lionsderiv import (
     make_variance,
     wasserstein2,
 )
-from lionsderiv.estimator import _ShiftProbes
+from lionsderiv.estimator import STEP_FLOOR, _ShiftProbes
 from lionsderiv.functionals import _ExactSum
 from lionsderiv.measure import _exact_sum, _weighted_l2
 
@@ -154,12 +155,12 @@ def _bits(x):
 
 
 @st.composite
-def shift_cases(draw):
-    """A canonical measure, an atom index and a signed step.
+def lattice_measures(draw):
+    """A canonical measure and the exponent e of its lattice.
 
-    Atoms and steps sit on the lattice k * 2^e, so shifts can cross a
-    neighbour or land exactly on one; optional offsets leave the lattice.
-    Atoms reach 2^514 (about 5e154), past which their squares overflow.
+    Atoms sit on the lattice k * 2^e, so shifts can cross a neighbour or
+    land exactly on one; optional offsets leave the lattice.  Atoms reach
+    2^514 (about 5e154), past which their squares overflow.
     """
     e = draw(st.integers(-60, 508))
     ints = draw(st.lists(st.integers(-64, 64), min_size=1, max_size=8, unique=True))
@@ -168,15 +169,26 @@ def shift_cases(draw):
         atoms = [a + draw(st.floats(0.0, 0.5)) * 2.0 ** e for a in atoms]
     raw = draw(st.lists(raw_weights, min_size=len(atoms), max_size=len(atoms)))
     total = math.fsum(raw)
-    mu = make_measure(atoms, [r / total for r in raw])
+    return make_measure(atoms, [r / total for r in raw]), e
+
+
+@st.composite
+def lattice_shifts(draw, mu, e):
+    """An atom index of ``mu`` and a signed step on its lattice, often
+    exactly onto a neighbour."""
     i = draw(st.integers(0, mu.n_atoms - 1))
     if mu.n_atoms > 1 and draw(st.booleans()):
         # onto a neighbour: exact coincidence whenever the difference is exact
         j = i - 1 if i + 1 == mu.n_atoms or (i > 0 and draw(st.booleans())) else i + 1
-        step = float(mu.atoms[j] - mu.atoms[i])
-    else:
-        step = draw(st.integers(-130, 130)) * 2.0 ** (e - draw(st.integers(0, 3)))
-    return mu, i, step
+        return i, float(mu.atoms[j] - mu.atoms[i])
+    return i, draw(st.integers(-130, 130)) * 2.0 ** (e - draw(st.integers(0, 3)))
+
+
+@st.composite
+def shift_cases(draw):
+    """A canonical measure, an atom index and a signed step."""
+    mu, e = draw(lattice_measures())
+    return (mu, *draw(lattice_shifts(mu, e)))
 
 
 small_coefficients = st.lists(st.integers(-2, 2), min_size=1, max_size=11)
@@ -194,39 +206,63 @@ def test_shift_probe_measure_is_bitwise_make_measure(case):
     mu, i, step = case
     atoms = np.array(mu.atoms)
     atoms[i] += step
+    probes = _ShiftProbes(mu, np.array([i]), np.array([[step]]))
     try:
         want = make_measure(atoms, mu.weights)
     except MeasureError as exc:
         with pytest.raises(MeasureError, match=re.escape(str(exc))):
-            _ShiftProbes(None, mu).measure(i, step)
+            probes.measure(0, 0)
         return
-    got = _ShiftProbes(None, mu).measure(i, step)
+    got = probes.measure(0, 0)
     assert _bits(got.atoms) == _bits(want.atoms)
     assert _bits(got.weights) == _bits(want.weights)
 
 
-@given(shift_cases(), builtins)
+@st.composite
+def shift_batches(draw):
+    """A canonical measure and up to a dozen one-atom shifts of it, atoms
+    in any order and repeated."""
+    mu, e = draw(lattice_measures())
+    return mu, draw(st.lists(lattice_shifts(mu, e), min_size=1, max_size=12))
+
+
+@given(shift_batches(), builtins)
 @settings(max_examples=300, deadline=None)
-def test_shift_evaluator_is_bitwise_full_evaluation(case, f):
-    mu, i, step = case
+def test_shift_evaluator_is_bitwise_full_evaluation(batch, f):
+    mu, shifts = batch
     canon = make_measure(mu.atoms, mu.weights)
-    value = f.shift_evaluator(canon)
-    y = float(mu.atoms[i]) + step + 0.0
-    inside = (math.isfinite(y) and (i == 0 or canon.atoms[i - 1] < y)
-              and (i + 1 == canon.n_atoms or y < canon.atoms[i + 1]))
-    if value is None or not inside:
+    values = f.shift_evaluator(canon)
+    probes = []
+    for i, step in shifts:
+        y = float(canon.atoms[i]) + step + 0.0
+        if (math.isfinite(y) and (i == 0 or canon.atoms[i - 1] < y)
+                and (i + 1 == canon.n_atoms or y < canon.atoms[i + 1])):
+            probes.append((i, y))
+    if values is None or not probes:
         return
-    got = value(i, y)
-    if got is None:  # declined: the probe is evaluated in full
-        return
-    atoms = np.array(canon.atoms)
-    atoms[i] = y
-    assert _bits(got) == _bits(f(DiscreteMeasure(atoms, canon.weights)))
+    indices, positions = (np.array(column) for column in zip(*probes))
+    got = values(indices, positions)
+    assert got.dtype == float and got.shape == indices.shape
+    for (i, y), value in zip(probes, got.tolist()):
+        if math.isnan(value):  # declined: the probe is evaluated in full
+            continue
+        atoms = np.array(canon.atoms)
+        atoms[i] = y
+        assert _bits(value) == _bits(f(DiscreteMeasure(atoms, canon.weights)))
+
+
+def _reference_steps(schedule, at):
+    """The schedule's steps at one position, in Python floats, raised as a
+    whole where the smallest would fall below the cancellation floor."""
+    last = schedule.ratio ** (schedule.count - 1)
+    floor = STEP_FLOOR * max(1.0, abs(at))
+    eps0 = floor / last if schedule.eps0 * last < floor else schedule.eps0
+    return tuple(eps0 * schedule.ratio ** k for k in range(schedule.count))
 
 
 def _reference_quotients(f, mu, i, schedule):
     """The atom-shift quotients with every probe canonicalized by
-    make_measure and evaluated in full."""
+    make_measure and evaluated in full, one atom and one probe at a time."""
     def probe(m, context):
         value = float(f(m))
         if not math.isfinite(value):
@@ -239,16 +275,66 @@ def _reference_quotients(f, mu, i, schedule):
         return probe(make_measure(atoms, mu.weights), f"atom {i} shifted by {eps!r}")
 
     x, p = float(mu.atoms[i]), float(mu.weights[i])
-    if schedule.mode == "one_sided":
+    steps = _reference_steps(schedule, x)
+    if not all(math.isfinite(eps) for eps in steps):
+        raise ProbeFailureError(f"the steps {steps!r} are not all finite")
+    one_sided = schedule.mode == "one_sided"
+    if 0.0 in [(eps if one_sided else 2.0 * eps) * p for eps in steps]:
+        raise ProbeFailureError(f"a step times the weight {p!r} underflows to 0")
+    if one_sided:
         base = probe(mu, "the unperturbed measure")
     quots = []
-    for eps in schedule.steps(at=x):
-        if schedule.mode == "one_sided":
+    for eps in steps:
+        if one_sided:
             quots.append((shifted(eps) - base) / (eps * p))
         else:
             plus = shifted(eps)
             quots.append((plus - shifted(-eps)) / (2.0 * eps * p))
     return np.array(quots)
+
+
+def _reference_richardson(quotients, ratio, order0, order_step):
+    """Triangular extrapolation in Python floats; (value, |last increment|)."""
+    col = [float(q) for q in quotients]
+    m = len(col) - 1
+    r = 1.0 / ratio
+    for stage in range(1, m + 1):
+        factor = r ** (order0 + (stage - 1) * order_step)
+        before_last = col[m]
+        for k in range(m, stage - 1, -1):
+            col[k] = (factor * col[k] - col[k - 1]) / (factor - 1.0)
+    return col[m], abs(col[m] - before_last)
+
+
+def _reference_floor_reaches_neighbour(schedule, mu, i):
+    """Whether the floor raised atom i's steps onto a neighbour the
+    probes shift towards."""
+    eps = _reference_steps(schedule, float(mu.atoms[i]))[0]
+    if eps == schedule.eps0:
+        return False
+    gaps = [float(mu.atoms[k + 1]) - float(mu.atoms[k])
+            for k in range(max(i - 1, 0) if schedule.mode == "central" else i,
+                           min(i + 1, mu.n_atoms - 1))]
+    return eps >= min(gaps, default=math.inf)
+
+
+def _reference_grid(f, sample, level, schedule):
+    """lions_derivative_grid one atom at a time on the reference probes."""
+    mu = law_of(dyadic_quantize(sample, level))
+    g = np.full(mu.n_atoms, math.nan)
+    err = np.full(mu.n_atoms, math.nan)
+    orders = (2, 2) if schedule.mode == "central" else (1, 1)
+    for i in range(mu.n_atoms):
+        if _reference_floor_reaches_neighbour(schedule, mu, i):
+            continue
+        try:
+            quots = _reference_quotients(f, mu, i, schedule)
+        except ProbeFailureError:
+            continue
+        value, error = _reference_richardson(quots, schedule.ratio, *orders)
+        if math.isfinite(value) and math.isfinite(error):
+            g[i], err[i] = value, error
+    return g, err, tuple(np.flatnonzero(np.isnan(g)).tolist())
 
 
 def _outcome(fn):
@@ -267,6 +353,50 @@ def test_shift_quotients_match_full_canonicalization(case, f, mode, count):
     want = _outcome(lambda: _reference_quotients(f, mu, i, schedule))
     got = _outcome(lambda: atom_shift_quotients(f, mu, i, schedule))
     assert got == want
+
+
+@st.composite
+def grid_cases(draw):
+    """A sample, a level and a schedule: values on the lattice k * 2^e, or
+    pairs in adjacent level-n cells, near the origin or far from it, with
+    steps that stay in their gaps, reach a neighbour, or are raised by the
+    cancellation floor."""
+    n = draw(st.integers(0, 12))
+    cell = 2.0 ** -n
+    ints = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):  # near-coincident: neighbours one cell apart
+        ints = sorted({k + d for k in ints[:4] for d in (0, 1)})
+    scale = draw(st.sampled_from([1.0, 1.0, 2.0 ** 40, 2.0 ** 500]))
+    values = [k * cell * scale for k in ints]
+    raw = draw(st.lists(raw_weights, min_size=len(values), max_size=len(values)))
+    total = math.fsum(raw)
+    schedule = StepSchedule(
+        eps0=draw(st.sampled_from([cell / 8, cell, 3 * cell, 1e-15])) * scale,
+        ratio=draw(st.sampled_from([0.5, 0.3, 0.125])),
+        count=draw(st.integers(2, 4)),
+        mode=draw(st.sampled_from(["central", "one_sided"])))
+    return make_sample(values, [r / total for r in raw]), n, schedule
+
+
+def _grid_outcome(fn):
+    try:
+        g, err, failed = fn()
+    except (ProbeFailureError, MeasureError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return _bits(g), _bits(err), failed
+
+
+def _grid(f, sample, n, schedule):
+    est = lions_derivative_grid(f, sample, n, schedule)
+    return est.g_values, est.error_estimates, est.failed_atoms
+
+
+@given(grid_cases(), builtins)
+@settings(max_examples=300, deadline=None)
+def test_grid_matches_one_atom_at_a_time_reference(case, f):
+    sample, n, schedule = case
+    want = _grid_outcome(lambda: _reference_grid(f, sample, n, schedule))
+    assert _grid_outcome(lambda: _grid(f, sample, n, schedule)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +550,8 @@ def test_exact_sum_is_fsum_or_nan_bit_for_bit(terms):
         assert _bits(math.fsum(exact.partials)) == _bits(want)
         assert all(exact.partials) and len(exact.partials) <= 40
         # the first two terms swapped for copies of the next two
-        resummed = exact.plus([-t for t in terms[:2].tolist()] + terms[2:4].tolist())
-        assert resummed is not None
+        (resummed,) = exact.plus([[-t for t in terms[:2].tolist()] + terms[2:4].tolist()])
+        assert math.isfinite(resummed)
         assert _bits(resummed) == _bits(math.fsum(terms[2:].tolist() + terms[2:4].tolist()))
 
 
