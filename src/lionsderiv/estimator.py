@@ -239,9 +239,19 @@ def _check_index(mu: DiscreteMeasure, i: int) -> int:
     return i
 
 
+def _moved(mu: DiscreteMeasure, i: int, eps: float) -> float:
+    """Atom i of ``mu`` moved by ``eps``; a probe failure where that leaves
+    the float range."""
+    with np.errstate(over="ignore"):
+        y = mu.atoms[i] + eps
+    if not np.isfinite(y):
+        raise ProbeFailureError(f"atom {i} moved by {eps!r} leaves the float range")
+    return y
+
+
 def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
     atoms = np.array(mu.atoms)
-    atoms[i] += eps
+    atoms[i] = _moved(mu, i, eps)
     return make_measure(atoms, mu.weights)
 
 
@@ -304,7 +314,7 @@ def _mass_moved(mu: DiscreteMeasure, i: int, frac: float, eps: float) -> Discret
         return _shifted(mu, i, eps)
     p = float(mu.weights[i])
     moved = frac * p
-    atoms = np.append(mu.atoms, mu.atoms[i] + eps)
+    atoms = np.append(mu.atoms, _moved(mu, i, eps))
     weights = np.array(mu.weights)
     weights[i] = p - moved
     weights = np.append(weights, moved)
@@ -654,5 +664,15 @@ def directional_derivative(f, sample: EmpiricalSample, eta: Direction,
     return _extrapolated(
         f, float(np.max(np.abs(sample.values))) if sample.size else 0.0, schedule,
         lambda: _finite(f(law_of(sample)), "the unperturbed sample's law"),
-        lambda eps: law_of(EmpiricalSample(sample.values + eps * eta.values, sample.weights)),
+        lambda eps: law_of(_displaced(sample, eps, eta)),
         lambda eps: f"sample displaced by {eps!r} * eta")
+
+
+def _displaced(sample: EmpiricalSample, eps: float, eta: Direction) -> EmpiricalSample:
+    """``sample + eps * eta``; a probe failure where a value leaves the
+    float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = sample.values + eps * eta.values
+    if not np.isfinite(values).all():
+        raise ProbeFailureError(f"sample displaced by {eps!r} * eta leaves the float range")
+    return EmpiricalSample(values, sample.weights)

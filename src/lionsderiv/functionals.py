@@ -96,15 +96,18 @@ class PotentialSpec:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def values(self, xs):
+    def values(self, xs, out: np.ndarray | None = None):
         """The polynomial at a scalar or elementwise on an array, by Horner's
         rule, highest degree first: a fixed evaluation order.  Overflow gives
-        inf or NaN, silently."""
-        acc = np.zeros_like(xs, dtype=float)
+        inf or NaN, silently.  ``out``, a float array of the shape of
+        ``xs``, receives the values in place of a new array."""
+        acc = np.empty(np.shape(xs)) if out is None else out
+        acc.fill(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             for c in reversed(self.coefficients):
-                acc = acc * xs + c
-        return acc
+                np.multiply(acc, xs, out=acc)
+                np.add(acc, c, out=acc)
+        return acc[()]  # a scalar for a scalar xs
 
     def derivative(self) -> "PotentialSpec | None":
         """The derivative polynomial; None when a coefficient overflows."""
@@ -306,29 +309,49 @@ def make_variance() -> Functional:
 
 
 # Pairs of atoms are formed in blocks of about this many, so that the
-# temporaries of a block stay in cache and the allocator reuses their memory
-# from block to block.  At 512 atoms, one pass over all pairs at once costs
-# about 1,500 page faults per evaluation for fresh temporaries.
+# temporaries of a block stay in cache.  At 512 atoms, one pass over all pairs
+# at once costs about 1,500 page faults per evaluation for fresh temporaries.
+# An evaluation allocates its block buffers once and fills them block by
+# block, so its time does not depend on whether the allocator hands the
+# memory of one block's temporaries back to the system before the next.
 _PAIR_BLOCK = 1 << 14
+
+
+def _pair_block_size(m: int) -> int:
+    """The number of pairs in the largest block of ``_pair_blocks`` over
+    ``m`` atoms."""
+    h = (m - 1) // 2
+    rows = min(m, max(1, _PAIR_BLOCK // h)) if h else 0
+    return max(rows * h, m // 2)
 
 
 def _pair_blocks(weights: np.ndarray, atoms: np.ndarray):
     """Blocks of (p_j*p_k, x_j - x_k) over the pairs of atom indices j != k,
     each pair once, in one of its two orders: j with j + s mod M for
     s = 1..(M-1)//2, then, for even M, j with j + M/2 for j < M/2.  This
-    circulant order makes every block a broadcast over strided views."""
+    circulant order makes every block a broadcast over strided views.  The
+    blocks are views of two buffers, which the next block overwrites."""
     m = atoms.size
     h = (m - 1) // 2
+    products = np.empty(_pair_block_size(m))
+    gaps = np.empty(products.size)
     if h:
         later_atoms = sliding_window_view(np.concatenate((atoms[1:], atoms[:h])), h)
         later_weights = sliding_window_view(np.concatenate((weights[1:], weights[:h])), h)
         rows = max(1, _PAIR_BLOCK // h)
         for a in range(0, m, rows):
-            yield (weights[a:a + rows, None] * later_weights[a:a + rows],
-                   atoms[a:a + rows, None] - later_atoms[a:a + rows])
+            n = min(rows, m - a)
+            p = products[:n * h].reshape(n, h)
+            g = gaps[:n * h].reshape(n, h)
+            np.multiply(weights[a:a + n, None], later_weights[a:a + n], out=p)
+            np.subtract(atoms[a:a + n, None], later_atoms[a:a + n], out=g)
+            yield p, g
     if m % 2 == 0:
         half = m // 2
-        yield weights[:half] * weights[half:], atoms[:half] - atoms[half:]
+        p, g = products[:half], gaps[:half]
+        np.multiply(weights[:half], weights[half:], out=p)
+        np.subtract(atoms[:half], atoms[half:], out=g)
+        yield p, g
 
 
 def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Functional:
@@ -356,19 +379,29 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
         come near overflow."""
         atoms, weights = mu.atoms, mu.weights
         count = atoms.size * atoms.size
+        # One set of block-sized buffers per evaluation: the terms of a
+        # block, and the temporaries of _exact_groups.
+        size = _pair_block_size(atoms.size)
+        block_terms = np.empty(size)
+        scratch = (np.empty(size), np.empty(size))
+
+        def block_groups(products, gaps):
+            terms = spec.values(gaps, out=block_terms[:gaps.size].reshape(gaps.shape))
+            return _exact_groups(np.multiply(products, terms, out=terms), count, scratch)
+
         with np.errstate(over="ignore", invalid="ignore"):
             diagonal = (weights * weights) * spec.values(atoms - atoms)
             groups = _exact_groups(diagonal, count)
             if groups is None:
                 return None
             for products, gaps in _pair_blocks(weights, atoms):
-                terms = _exact_groups(products * spec.values(gaps), count)
+                terms = block_groups(products, gaps)
                 if terms is None:
                     return None
                 if even:
                     groups += terms + terms
                 elif not odd:  # an odd kernel's swapped terms cancel these
-                    swapped = _exact_groups(products * spec.values(-gaps), count)
+                    swapped = block_groups(products, np.negative(gaps, out=gaps))
                     if swapped is None:
                         return None
                     groups += terms + swapped

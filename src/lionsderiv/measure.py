@@ -328,19 +328,32 @@ def _dyadic_floor(xs, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:
-    """Running weight partition with Neumaier compensation; last entry is 1."""
-    out = np.empty(weights.size)
-    s = 0.0
-    c = 0.0
-    for k in range(weights.size):
-        w = float(weights[k])
-        t = s + w
-        if abs(s) >= abs(w):
-            c += (s - t) + w
-        else:
-            c += (w - t) + s
-        s = t
-        out[k] = min(s + c, 1.0)
+    """Running weight partition with Neumaier compensation; last entry is 1.
+
+    ``s`` is the running float sum, added strictly in order; ``err[k]`` is
+    the exact rounding error of ``s[k - 1] + w[k]`` (Fast2Sum, taken from
+    the larger operand), and ``c`` adds those errors up in order.  Entry k
+    is ``min(s[k] + c[k], 1)``.
+
+    The output never decreases, for fewer than 2^50 positive weights, which
+    ``wasserstein2`` relies on.  With e = err[k], exactly s[k] + e =
+    s[k-1] + w[k], and c[k] = c[k-1] + e + d, where d is the rounding of
+    that addition, |d| <= 2^-53 |c[k]|.  If e >= 0, neither s nor c
+    decreases.  If e < 0, then s[k] > s[k-1], so w[k] is at least half the
+    spacing above s[k-1], hence ulp(s[k]) <= 4 w[k]; every error so far is
+    at most ulp(s[k]) / 2, so |c[k]| <= (k + 1) ulp(s[k]) and
+    |d| <= 2^-51 (k + 1) w[k] < w[k], and s[k] + c[k] = s[k-1] + c[k-1] +
+    w[k] + d.  Either way s[k] + c[k] >= s[k-1] + c[k-1] exactly, and
+    rounding to nearest, then ``min``, keep that order.
+    """
+    s = np.add.accumulate(weights)
+    before = np.concatenate(([0.0], s[:-1]))
+    err = np.where(
+        np.abs(before) >= np.abs(weights),
+        (before - s) + weights,
+        (weights - s) + before,
+    )
+    out = np.minimum(s + np.add.accumulate(err), 1.0)
     out[-1] = 1.0
     return out
 
@@ -352,26 +365,22 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     quantile functions are constant, so the integral of the squared quantile
     difference is a finite sum.  Symmetric, and zero iff the measures are
     equal.
+
+    The segments end at the sorted breakpoints of both partitions; a
+    repeated breakpoint gives an empty segment, which is dropped.  On a
+    segment ending at ``u`` each law sits on its first atom whose cumulative
+    weight reaches ``u`` (``searchsorted``, left side; the cumulatives never
+    decrease, see ``_cumulative``).
     """
     cmu = _cumulative(mu.weights)
     cnu = _cumulative(nu.weights)
-    xs, ys = mu.atoms, nu.atoms
-    segments: list[float] = []
-    gaps: list[float] = []
-    i = j = 0
-    prev = 0.0
-    while i < cmu.size and j < cnu.size:
-        upper = min(cmu[i], cnu[j])
-        seg = upper - prev
-        if seg > 0.0:
-            segments.append(seg)
-            gaps.append(xs[i] - ys[j])
-        prev = upper
-        if cmu[i] == upper:
-            i += 1
-        if cnu[j] == upper:
-            j += 1
-    return _weighted_l2(np.array(segments), np.array(gaps))
+    uppers = np.sort(np.concatenate((cmu, cnu)))
+    seg = np.diff(uppers, prepend=0.0)
+    kept = seg > 0.0
+    uppers = uppers[kept]
+    gaps = (mu.atoms[np.searchsorted(cmu, uppers)]
+            - nu.atoms[np.searchsorted(cnu, uppers)])
+    return _weighted_l2(seg[kept], gaps)
 
 
 def _weighted_l2(weights: np.ndarray, d: np.ndarray) -> float:
@@ -400,7 +409,9 @@ _EXPONENT = 0x7FF
 _MAX_TERMS = 1 << 26
 
 
-def _exact_groups(terms, count: int | None = None) -> list[float] | None:
+def _exact_groups(terms, count: int | None = None,
+                  scratch: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> list[float] | None:
     """Nonzero floats, at most two per exponent of the terms, whose exact
     sum is the exact sum of ``terms``; None where a term is not finite or the
     terms are so large that a partial sum of ``math.fsum`` could overflow.
@@ -408,20 +419,27 @@ def _exact_groups(terms, count: int | None = None) -> list[float] | None:
     ``count`` is the number of terms in the whole sum when ``terms`` is only
     one part of it and its groups are added to those of the other parts;
     the overflow bound then covers all of them.  It defaults to the number
-    of ``terms``."""
+    of ``terms``.  ``scratch``, two float arrays at least as long as
+    ``terms``, holds the temporaries, so a caller that sums many parts
+    allocates them once."""
     terms = np.asarray(terms, dtype=float).ravel()
     count = terms.size if count is None else count
     if count >= _MAX_TERMS:
         return None
+    if scratch is None:
+        scratch = (np.empty(terms.size), np.empty(terms.size))
     bits = terms.view(np.uint64)
-    exponent = (bits >> np.uint64(52)).view(np.int64) & _EXPONENT
-    leading = (bits & ~_TRAILING).view(np.float64)
-    leading_sums = np.bincount(exponent, weights=leading)
+    exponent = scratch[0][:terms.size].view(np.int64)
+    np.right_shift(bits, np.uint64(52), out=exponent.view(np.uint64))
+    np.bitwise_and(exponent, _EXPONENT, out=exponent)
+    parts = scratch[1][:terms.size]
+    np.bitwise_and(bits, ~_TRAILING, out=parts.view(np.uint64))
+    leading_sums = np.bincount(exponent, weights=parts)
     # Each term lies below 2^(e - 1022) for its biased exponent e; beyond
     # 2^1020 in total an fsum partial could overflow (e = 2047: inf or NaN).
     if leading_sums.size - 1 - 1022 + count.bit_length() > 1020:
         return None
-    trailing_sums = np.bincount(exponent, weights=terms - leading)
+    trailing_sums = np.bincount(exponent, weights=np.subtract(terms, parts, out=parts))
     groups = np.concatenate((leading_sums, trailing_sums))
     return groups[groups != 0].tolist()
 

@@ -457,6 +457,29 @@ def test_estimate_flags_a_richardson_factor_past_the_float_range(workdir):
     assert report["failed_atoms"] == [0]
 
 
+def test_estimate_flags_a_probe_that_moves_an_atom_past_the_float_range(workdir):
+    # the largest float plus the level-0 step is inf: that probe fails, so
+    # the atom is flagged and the run writes its outputs and exits 3, with
+    # no warning on stderr
+    inp = write(workdir / "s.csv", "1.7976931348623157e308\n")
+    proc = run_cli("estimate", "--input", inp, "--functional", '{"name":"variance"}',
+                   "--level", "0", "--out", "grid.csv")
+    assert (proc.returncode, proc.stderr) == (3, "")
+    report = json.loads((workdir / "grid.report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["failed_atoms"] == [0]
+    assert (workdir / "grid.csv").read_text().count("\n") == 2
+
+
+def test_verify_fails_probes_that_move_a_value_past_the_float_range(workdir):
+    inp = write(workdir / "s.csv", "1.7976931348623157e308\n")
+    proc = run_cli("verify", "--input", inp, "--functional", '{"name":"variance"}',
+                   "--level", "0", "--out", "v.json")
+    assert (proc.returncode, proc.stderr) == (4, "")
+    report = json.loads((workdir / "v.json").read_text(), parse_constant=_reject_constant)
+    assert report["checks"][0]["status"] == "fail"
+
+
 def test_verify_oracle_without_a_finite_third_derivative(workdir):
     # phi = 1e306 x^10 has a finite derivative, but the Taylor bound needs
     # the third one, 720e306 x^7, which overflows: the generic rule applies.

@@ -549,6 +549,20 @@ def test_schedule_without_a_finite_derivative_raises_probe_failure(ratio, count)
     assert est.failed_atoms == (0, 1, 2)
 
 
+def test_probe_past_the_float_range_is_a_probe_failure():
+    top = make_measure([1.7976931348623157e308], [1.0])
+    with np.errstate(all="raise"):
+        with pytest.raises(ProbeFailureError, match="leaves the float range"):
+            lions_derivative_at_atom(VARIANCE, top, 0)
+        with pytest.raises(ProbeFailureError, match="leaves the float range"):
+            partial_mass_perturbation(VARIANCE, top, 0, 0.5)
+        with pytest.raises(ProbeFailureError, match="leaves the float range"):
+            directional_derivative(VARIANCE, make_sample([1.7976931348623157e308]),
+                                   Direction([1.0]))
+        est = lions_derivative_grid(VARIANCE, make_sample([1.7976931348623157e308]), 0)
+    assert est.failed_atoms == (0,)
+
+
 def test_probe_failure_raises_for_scalar_ops():
     f = Functional(name="bad", params={}, evaluate=lambda mu: math.inf)
     with pytest.raises(ProbeFailureError):

@@ -4,12 +4,15 @@ Oracle checklist:
 - W2 on hand cases: quantile integral computed by hand.
 - W2 on random pairs: brute-force optimal coupling via linear programming
   (scipy HiGHS), fully independent of the quantile-merge implementation.
+- W2 and the cumulative partition on drawn laws: bit for bit the scalar
+  loops below, one weight and one merged segment at a time.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from lionsderiv import (
@@ -25,6 +28,8 @@ from lionsderiv import (
     read_sample_file,
     wasserstein2,
 )
+
+from lionsderiv.measure import _cumulative, _weighted_l2
 
 from conftest import random_measure, random_sample
 
@@ -223,6 +228,100 @@ def test_w2_against_linear_program():
         ours = wasserstein2(mu, nu)
         lp = w2_by_linear_program(mu, nu)
         assert ours == pytest.approx(lp, abs=1e-7)
+
+
+def reference_cumulative(weights):
+    """Running weight partition with Neumaier compensation, one weight at a
+    time; last entry is 1."""
+    out = np.empty(weights.size)
+    s = 0.0
+    c = 0.0
+    for k in range(weights.size):
+        w = float(weights[k])
+        t = s + w
+        if abs(s) >= abs(w):
+            c += (s - t) + w
+        else:
+            c += (w - t) + s
+        s = t
+        out[k] = min(s + c, 1.0)
+    out[-1] = 1.0
+    return out
+
+
+def reference_wasserstein2(mu, nu):
+    """W2 by walking the two cumulative partitions in step, one merged
+    segment at a time."""
+    cmu = reference_cumulative(mu.weights)
+    cnu = reference_cumulative(nu.weights)
+    xs, ys = mu.atoms, nu.atoms
+    segments, gaps = [], []
+    i = j = 0
+    prev = 0.0
+    while i < cmu.size and j < cnu.size:
+        upper = min(cmu[i], cnu[j])
+        seg = upper - prev
+        if seg > 0.0:
+            segments.append(seg)
+            gaps.append(xs[i] - ys[j])
+        prev = upper
+        if cmu[i] == upper:
+            i += 1
+        if cnu[j] == upper:
+            j += 1
+    return _weighted_l2(np.array(segments), np.array(gaps))
+
+
+# Weights from fat to subnormal; "tail" puts many tiny weights after one
+# large one, each far below one ulp of the running sum.
+fat_weights = st.floats(1e-3, 1.0)
+tiny_weights = st.floats(5e-324, 1e-280)
+any_weights = st.one_of(fat_weights, st.floats(1e-300, 1e-3), tiny_weights)
+
+
+@st.composite
+def laws_on(draw, pool):
+    atoms = sorted(set(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=200))))
+    if len(atoms) > 1 and draw(st.booleans()):
+        start = draw(st.integers(0, len(atoms) - 2))
+        raw = ([draw(any_weights) for _ in range(start)] + [1.0]
+               + draw(st.lists(tiny_weights, min_size=len(atoms) - start - 1,
+                               max_size=len(atoms) - start - 1)))
+    else:
+        raw = draw(st.lists(any_weights, min_size=len(atoms), max_size=len(atoms)))
+    total = math.fsum(raw)
+    return make_measure(atoms, [r / total for r in raw])
+
+
+@st.composite
+def law_pairs(draw):
+    """Two laws on atoms from one pool, so they share atoms; 1..200 atoms,
+    one-atom laws included, on a lattice or not, at scales 1e-3..1e3."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        pool = [k * scale / 8 for k in range(-100, 101)]
+    else:
+        pool = draw(st.lists(st.floats(-scale, scale), min_size=1, max_size=200,
+                             unique=True))
+    if draw(st.booleans()):
+        return draw(laws_on(pool)), make_measure([draw(st.sampled_from(pool))], [1.0])
+    return draw(laws_on(pool)), draw(laws_on(pool))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+@given(law_pairs())
+@settings(max_examples=200, deadline=None)
+def test_w2_and_cumulative_match_the_scalar_loops_bit_for_bit(pair):
+    mu, nu = pair
+    for law in pair:
+        cumulative = _cumulative(law.weights)
+        assert _bits(cumulative) == _bits(reference_cumulative(law.weights))
+        assert np.all(np.diff(cumulative) >= 0.0)  # searchsorted needs this
+    for a, b in (pair, pair[::-1]):
+        assert _bits(wasserstein2(a, b)) == _bits(reference_wasserstein2(a, b))
 
 
 def test_w2_symmetric():
