@@ -330,29 +330,17 @@ def _dyadic_floor(xs, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cumulative(weights: np.ndarray) -> np.ndarray:
     """Running weight partition with Neumaier compensation; last entry is 1.
 
-    ``s`` is the running float sum, added strictly in order; ``err[k]`` is
-    the exact rounding error of ``s[k - 1] + w[k]`` (Fast2Sum, taken from
-    the larger operand), and ``c`` adds those errors up in order.  Entry k
-    is ``min(s[k] + c[k], 1)``.
-
-    The output never decreases, for fewer than 2^50 positive weights, which
-    ``wasserstein2`` relies on.  With e = err[k], exactly s[k] + e =
-    s[k-1] + w[k], and c[k] = c[k-1] + e + d, where d is the rounding of
-    that addition, |d| <= 2^-53 |c[k]|.  If e >= 0, neither s nor c
-    decreases.  If e < 0, then s[k] > s[k-1], so w[k] is at least half the
-    spacing above s[k-1], hence ulp(s[k]) <= 4 w[k]; every error so far is
-    at most ulp(s[k]) / 2, so |c[k]| <= (k + 1) ulp(s[k]) and
-    |d| <= 2^-51 (k + 1) w[k] < w[k], and s[k] + c[k] = s[k-1] + c[k-1] +
-    w[k] + d.  Either way s[k] + c[k] >= s[k-1] + c[k-1] exactly, and
-    rounding to nearest, then ``min``, keep that order.
+    The running sum ``s`` adds in order; ``err`` is the exact rounding error
+    of each addition (Fast2Sum, from the larger operand), also added in
+    order.  The output never decreases, for fewer than 2^50 weights: where
+    err[k] < 0, s rounded up, so ulp(s[k]) <= 4 w[k], while rounding the
+    error sum moves it by at most 2^-53 (k + 1) ulp(s[k]) < w[k] (README,
+    "Numerical policy").
     """
     s = np.add.accumulate(weights)
     before = np.concatenate(([0.0], s[:-1]))
-    err = np.where(
-        np.abs(before) >= np.abs(weights),
-        (before - s) + weights,
-        (weights - s) + before,
-    )
+    err = np.where(np.abs(before) >= np.abs(weights),
+                   (before - s) + weights, (weights - s) + before)
     out = np.minimum(s + np.add.accumulate(err), 1.0)
     out[-1] = 1.0
     return out
@@ -364,13 +352,8 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     Merges the two cumulative-weight partitions; on each merged segment both
     quantile functions are constant, so the integral of the squared quantile
     difference is a finite sum.  Symmetric, and zero iff the measures are
-    equal.
-
-    The segments end at the sorted breakpoints of both partitions; a
-    repeated breakpoint gives an empty segment, which is dropped.  On a
-    segment ending at ``u`` each law sits on its first atom whose cumulative
-    weight reaches ``u`` (``searchsorted``, left side; the cumulatives never
-    decrease, see ``_cumulative``).
+    equal.  A segment ends at each distinct breakpoint u, where each law
+    sits on its first atom whose cumulative weight reaches u.
     """
     cmu = _cumulative(mu.weights)
     cnu = _cumulative(nu.weights)
@@ -378,8 +361,7 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     seg = np.diff(uppers, prepend=0.0)
     kept = seg > 0.0
     uppers = uppers[kept]
-    gaps = (mu.atoms[np.searchsorted(cmu, uppers)]
-            - nu.atoms[np.searchsorted(cnu, uppers)])
+    gaps = mu.atoms[np.searchsorted(cmu, uppers)] - nu.atoms[np.searchsorted(cnu, uppers)]
     return _weighted_l2(seg[kept], gaps)
 
 
