@@ -315,7 +315,6 @@ def _bits(x):
 @given(law_pairs())
 @settings(max_examples=200, deadline=None)
 def test_w2_and_cumulative_match_the_scalar_loops_bit_for_bit(pair):
-    mu, nu = pair
     for law in pair:
         cumulative = _cumulative(law.weights)
         assert _bits(cumulative) == _bits(reference_cumulative(law.weights))
