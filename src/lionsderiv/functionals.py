@@ -424,23 +424,30 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
             return None
         total = _ExactSum(groups)
         atoms, weights = canon.atoms, canon.weights
+        m = atoms.size
         line_weights = np.concatenate((weights, weights))
         probes_per_chunk = max(1, _PAIR_BLOCK // line_weights.size)
         # Per atom, a few floats whose exact sum is that of its old lines
         # negated.  Those lines are terms of the base, which pair_groups
         # found finite and far from overflow, so fsum over them cannot raise.
         old_lines: dict[int, list[float]] = {}
+        # One set of chunk buffers per base measure, filled for every chunk.
+        gaps_buffer = np.empty((probes_per_chunk, 2 * m))
+        terms_buffer = np.empty(gaps_buffer.shape)
 
         def lines(i: np.ndarray, y: np.ndarray) -> np.ndarray:
             """Per entry of ``i`` and ``y``: row i, (w_i*w_k) * w(y - x_k),
             then column i, (w_k*w_i) * w(x_k - y), of the M x M terms with
-            atom i at y."""
-            moved = np.repeat(atoms[None, :], i.size, axis=0)
-            moved[np.arange(i.size), i] = y
-            y = y[:, None]
+            atom i at y.  A view of a buffer that the next call overwrites."""
+            gaps = gaps_buffer[:i.size]
+            probes = np.arange(i.size)
             with np.errstate(over="ignore", invalid="ignore"):
-                return (weights[i, None] * line_weights) * spec.values(
-                    np.concatenate((y - moved, moved - y), axis=1))
+                np.subtract(y[:, None], atoms, out=gaps[:, :m])
+                np.subtract(atoms, y[:, None], out=gaps[:, m:])
+                gaps[probes, i] = gaps[probes, m + i] = y - y
+                terms = spec.values(gaps, out=terms_buffer[:i.size])
+                scale = np.multiply(weights[i, None], line_weights, out=gaps)
+                return np.multiply(scale, terms, out=terms)
 
         def values(indices: np.ndarray, positions: np.ndarray) -> np.ndarray:
             # Moving atom i changes row i and column i.  Both hold the
@@ -452,7 +459,8 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
                 chunk = slice(a, a + probes_per_chunk)
                 i = indices[chunk]
                 first = np.array(sorted(set(i.tolist()) - old_lines.keys()), dtype=int)
-                for k, line in zip(first.tolist(), (-lines(first, atoms[first])).tolist()):
+                negated = lines(first, atoms[first])
+                for k, line in zip(first.tolist(), np.negative(negated, out=negated).tolist()):
                     old_lines[k] = _ExactSum(line).partials
                 out[chunk] = total.plus(line.tolist() + old_lines[k] for line, k in
                                         zip(lines(i, positions[chunk]), i.tolist()))
