@@ -10,13 +10,18 @@ maximum criterion/tolerance ratio against a tolerance of 1.
 Tolerances are tied to the scheme's own error model: structural comparisons
 use max(1e-6, 4x the reported extrapolation error estimates), oracle
 comparisons use functional-specific truncation bounds.
+
+``check_structure`` and ``check_law_invariance`` run their independent cases
+on every usable CPU (see ``_map_tasks``); their reports are the same bytes on
+any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -96,6 +101,89 @@ def _finish(name: str, discrepancy: float, tolerance: float,
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _map_tasks(task: Callable[[int], Sequence[float]], n: int,
+               width: int) -> np.ndarray:
+    """``task(i)``, ``width`` floats, for i = 0..n-1 (n >= 1), as an
+    (n, width) array.
+
+    The tasks run in k = min(n, usable CPUs) contiguous shares, in order
+    within each.  This process runs share 0; each other share runs in a
+    forked child, which sends each result as raw float64 bytes through a
+    pipe, so the values are bit for bit those of a plain loop.  For a share
+    whose child fails, cannot be forked or sends fewer results, this process
+    runs the missing tasks itself, lowest first: a task that raises raises
+    here, and since every earlier task succeeded, it is the error the plain
+    loop would raise.  Every child is reaped before this returns or raises.
+    """
+    k = min(n, _usable_cpus())
+    shares = [range(n * s // k, n * (s + 1) // k) for s in range(k)]
+    row_bytes = 8 * width
+    out = np.empty((n, width))
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            try:
+                children.append(_fork_share(task, share))
+            except OSError:  # no process or pipe to spare: run the rest here
+                break
+        for s, share in enumerate(shares):
+            done = 0
+            if 0 < s <= len(children):  # share s runs in children[s - 1]
+                with open(children[s - 1][1], "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                done = min(len(data) // row_bytes, len(share))
+                out[share.start:share.start + done] = np.frombuffer(
+                    data, count=done * width).reshape(done, width)
+            for i in share[done:]:
+                out[i] = task(i)
+    except BaseException:
+        from signal import SIGKILL  # imported only here: a plain run never needs it
+
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return out
+
+
+def _fork_share(task: Callable[[int], Sequence[float]],
+                share: range) -> tuple[int, int]:
+    """Fork a child that writes ``task(i)`` for each i of ``share`` to a
+    pipe and exits; (its pid, the read end)."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            for i in share:
+                row = memoryview(np.asarray(task(i), dtype=float).tobytes())
+                while row:
+                    row = row[os.write(write_end, row):]
+            code = 0
+        finally:
+            # Never return into the caller's stack; os._exit flushes no
+            # buffer the parent also holds.
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
 def check_structure(f: Functional, sample: EmpiricalSample,
                     est: DerivativeEstimate, directions: int = 32,
                     seed: int = 0,
@@ -120,15 +208,19 @@ def check_structure(f: Functional, sample: EmpiricalSample,
     g_norm = _weighted_l2(weights, gvals)
 
     rng = np.random.default_rng(seed)
+    etas = [rng.standard_normal(qs.size) for _ in range(directions)]
+
+    def directional(idx: int) -> tuple[float]:
+        try:
+            return (directional_derivative(f, qs, Direction(etas[idx]), schedule),)
+        except ProbeFailureError:
+            return (math.nan,)
+
+    lhs_values = _map_tasks(directional, directions, 1)[:, 0].tolist()
     cases = []
     rels = []
     worst_err_bound = 0.0
-    for idx in range(directions):
-        eta = rng.standard_normal(qs.size)
-        try:
-            lhs = directional_derivative(f, qs, Direction(eta), schedule)
-        except ProbeFailureError:
-            lhs = math.nan
+    for idx, (eta, lhs) in enumerate(zip(etas, lhs_values)):
         with np.errstate(over="ignore", invalid="ignore"):
             pairing = weights * gvals * eta
             spread = weights * np.abs(eta) * evals
@@ -195,28 +287,36 @@ def check_law_invariance(f: Functional, sample: EmpiricalSample,
     representation against sample-order-dependent logic creeping in, and its
     triviality for the current design is recorded in the report.
     """
+    transforms = int(transforms)
+    if transforms < 1:
+        raise ValueError("need at least one transform")
     level = as_level(level)
     schedule = schedule if schedule is not None else StepSchedule.for_level(level)
     base = lions_derivative_grid(f, sample, level, schedule)
     rng = np.random.default_rng(seed)
+    plans = [(rng.permutation(sample.size), int(rng.integers(sample.size)))
+             for _ in range(transforms)]
+
+    def gaps(idx: int) -> tuple[float, float]:
+        perm, split_at = plans[idx]
+        permuted = EmpiricalSample(sample.values[perm], sample.weights[perm])
+        split = _halve_weight(sample, split_at)
+        return (_estimate_gap(base, lions_derivative_grid(f, permuted, level, schedule)),
+                _estimate_gap(base, lions_derivative_grid(f, split, level, schedule)))
+
     cases = []
     worst = 0.0
-    for idx in range(int(transforms)):
-        perm = rng.permutation(sample.size)
-        permuted = EmpiricalSample(sample.values[perm], sample.weights[perm])
-        gap_p = _estimate_gap(base, lions_derivative_grid(f, permuted, level, schedule))
+    for idx, ((_, split_at), (gap_p, gap_s)) in enumerate(
+            zip(plans, _map_tasks(gaps, transforms, 2).tolist())):
         cases.append({"transform": idx, "kind": "permutation",
-                      "max_abs_difference": float(gap_p)})
-        split_at = int(rng.integers(sample.size))
-        split = _halve_weight(sample, split_at)
-        gap_s = _estimate_gap(base, lions_derivative_grid(f, split, level, schedule))
+                      "max_abs_difference": gap_p})
         cases.append({"transform": idx, "kind": "weight_split",
                       "split_index": split_at,
-                      "max_abs_difference": float(gap_s)})
+                      "max_abs_difference": gap_s})
         worst = max(worst, gap_p, gap_s)
     details = {
         "level": level.n,
-        "transforms_per_kind": int(transforms),
+        "transforms_per_kind": transforms,
         "seed": int(seed),
         "note": "bitwise equality is a designed consequence of measure-level "
                 "evaluation with exactly rounded weight sums",

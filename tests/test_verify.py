@@ -3,6 +3,7 @@ oracle comparison, convergence study."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -115,6 +116,14 @@ def test_law_invariance_bitwise_zero():
     assert report.tolerance == 0.0
     kinds = {c["kind"] for c in report.cases}
     assert kinds == {"permutation", "weight_split"}
+
+
+@pytest.mark.parametrize("transforms", [0, -5])
+def test_law_invariance_needs_at_least_one_transform(transforms):
+    # no transform used to report a pass over zero cases
+    with pytest.raises(ValueError, match="at least one transform"):
+        check_law_invariance(VARIANCE, make_sample([0.25, 0.75]), 2,
+                             transforms=transforms)
 
 
 def test_law_invariance_sorted_copy():
@@ -280,6 +289,109 @@ def test_study_rejects_bad_level_ranges():
         convergence_study(VARIANCE, make_sample([0.1]), [])
     with pytest.raises(ValueError):
         convergence_study(VARIANCE, make_sample([0.1]), [4, 3, 2])
+
+
+# ---------------------------------------------------------------------------
+# parallel verify: the same reports, and errors, on any number of CPUs
+# ---------------------------------------------------------------------------
+
+ONE_SIDED = StepSchedule(eps0=0.125, mode="one_sided")
+# One-valued sample at 0.5: a one-sided probe along direction eta moves the
+# atom left exactly where eta < 0.  The sign patterns of the first four
+# standard normal draws: seed 1 (+ + + -), seed 3 (+ - + -), seed 12 (- + + +).
+AT_HALF = make_sample([0.5])
+
+
+def _left_probe(moved_left):
+    """The variance, except ``moved_left(atom)`` where the atom lies left of 0.5."""
+    def evaluate(mu):
+        atom = mu.atoms[0].item()
+        return moved_left(atom) if atom < 0.5 else VARIANCE(mu)
+    return Functional(name="left_probe", params={}, evaluate=evaluate)
+
+
+def _raise_moved_left(atom):
+    raise ValueError(f"moved left to {atom!r}")
+
+
+def _on_cpus(monkeypatch, cpus, run):
+    """``run()`` with ``cpus`` usable CPUs (None: this machine's); no child
+    process outlives it."""
+    try:
+        with monkeypatch.context() as m:
+            if cpus is not None:
+                m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                          raising=False)
+            return run()
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _both_reports(f, sample, level, schedule, seed):
+    est = lions_derivative_grid(VARIANCE, sample, level, schedule)
+    return [json.dumps(r.to_dict()) for r in (
+        check_structure(f, sample, est, directions=7, seed=seed, schedule=schedule),
+        check_law_invariance(f, sample, level, schedule=schedule, transforms=5, seed=seed),
+    )]
+
+
+CPU_CASES = {
+    "variance": (VARIANCE, random_sample(np.random.default_rng(5), size=40), 3, None, 4),
+    "interaction": (make_interaction([0.0, 0.0, 0.5]),
+                    random_sample(np.random.default_rng(6), size=24), 3, None, 5),
+    "failing_probes": (_left_probe(lambda atom: math.nan), AT_HALF, 2, ONE_SIDED, 3),
+}
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 3])
+@pytest.mark.parametrize("case", sorted(CPU_CASES))
+def test_reports_do_not_depend_on_the_number_of_cpus(monkeypatch, cpus, case):
+    f, sample, level, schedule, seed = CPU_CASES[case]
+    run = lambda: _both_reports(f, sample, level, schedule, seed)  # noqa: E731
+    serial = _on_cpus(monkeypatch, 1, run)
+    assert _on_cpus(monkeypatch, cpus, run) == serial
+    if case == "failing_probes":
+        # NaN rows in this process's share and in a child's
+        lhs = [c["lhs_directional"] for c in json.loads(serial[0])["cases"]]
+        assert [math.isnan(v) for v in lhs[:4]] == [False, True, False, True]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+# Leftward directions: seed 1, 3 only; seed 3, 1 and 3; seed 12, 0 only.
+@pytest.mark.parametrize("seed", [1, 3, 12])
+def test_an_error_in_any_share_is_the_plain_loops_error(monkeypatch, cpus, seed):
+    est = lions_derivative_grid(VARIANCE, AT_HALF, 2)
+    f = _left_probe(_raise_moved_left)
+    run = lambda: check_structure(f, AT_HALF, est, directions=4, seed=seed,  # noqa: E731
+                                  schedule=ONE_SIDED)
+    with pytest.raises(ValueError, match="moved left to") as serial:
+        _on_cpus(monkeypatch, 1, run)
+    with pytest.raises(ValueError) as forked:
+        _on_cpus(monkeypatch, cpus, run)
+    assert str(forked.value) == str(serial.value)
+
+
+def test_a_share_whose_child_dies_or_cannot_start_runs_here(monkeypatch):
+    f, sample, level, schedule, seed = CPU_CASES["variance"]
+    want = _on_cpus(monkeypatch, 1, lambda: _both_reports(f, sample, level, schedule, seed))
+    parent = os.getpid()
+
+    def evaluate(mu):
+        if os.getpid() != parent:
+            os._exit(3)
+        return VARIANCE(mu)
+
+    dies = Functional(name="variance", params={}, evaluate=evaluate)
+    assert _on_cpus(monkeypatch, 3, lambda: _both_reports(
+        dies, sample, level, schedule, seed)) == want
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _on_cpus(monkeypatch, 3, lambda: _both_reports(
+        f, sample, level, schedule, seed)) == want
 
 
 # ---------------------------------------------------------------------------
