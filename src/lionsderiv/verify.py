@@ -124,7 +124,6 @@ def _map_tasks(task: Callable[[int], Sequence[float]], n: int,
     """
     k = min(n, _usable_cpus())
     shares = [range(n * s // k, n * (s + 1) // k) for s in range(k)]
-    row_bytes = 8 * width
     out = np.empty((n, width))
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
@@ -138,7 +137,7 @@ def _map_tasks(task: Callable[[int], Sequence[float]], n: int,
             if 0 < s <= len(children):  # share s runs in children[s - 1]
                 with open(children[s - 1][1], "rb", closefd=False) as pipe:
                     data = pipe.read()
-                done = min(len(data) // row_bytes, len(share))
+                done = min(len(data) // out[0].nbytes, len(share))
                 out[share.start:share.start + done] = np.frombuffer(
                     data, count=done * width).reshape(done, width)
             for i in share[done:]:
@@ -147,12 +146,18 @@ def _map_tasks(task: Callable[[int], Sequence[float]], n: int,
         from signal import SIGKILL  # imported only here: a plain run never needs it
 
         for pid, _ in children:
-            os.kill(pid, SIGKILL)
+            try:
+                os.kill(pid, SIGKILL)
+            except ProcessLookupError:  # SIGCHLD is ignored: the system reaped it
+                pass
         raise
     finally:
         for pid, fd in children:
             os.close(fd)
-            os.waitpid(pid, 0)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # SIGCHLD is ignored: the system reaped it
+                pass
     return out
 
 

@@ -4,6 +4,8 @@ oracle comparison, convergence study."""
 import json
 import math
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -392,6 +394,31 @@ def test_a_share_whose_child_dies_or_cannot_start_runs_here(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     assert _on_cpus(monkeypatch, 3, lambda: _both_reports(
         f, sample, level, schedule, seed)) == want
+
+
+def test_sigchld_ignored_changes_no_report_and_no_error(monkeypatch):
+    # Where SIGCHLD is ignored, the system reaps each child as it exits.
+    f, sample, level, schedule, seed = CPU_CASES["variance"]
+    run = lambda: _both_reports(f, sample, level, schedule, seed)  # noqa: E731
+    want = _on_cpus(monkeypatch, 1, run)
+    parent = os.getpid()
+
+    def evaluate(mu):
+        if os.getpid() == parent:
+            time.sleep(0.2)  # the children finish and are reaped meanwhile
+            raise ValueError("failed in the calling process")
+        return VARIANCE(mu)
+
+    fails_here = Functional(name="fails_here", params={}, evaluate=evaluate)
+    est = lions_derivative_grid(VARIANCE, sample, level)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _on_cpus(monkeypatch, 3, run) == want
+        with pytest.raises(ValueError, match="failed in the calling process"):
+            _on_cpus(monkeypatch, 3, lambda: check_structure(
+                fails_here, sample, est, directions=7, seed=seed))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
 
 
 # ---------------------------------------------------------------------------
