@@ -101,20 +101,14 @@ def _finish(name: str, discrepancy: float, tolerance: float,
     )
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 def _map_tasks(task: Callable[[int], Sequence[float]], n: int,
                width: int) -> np.ndarray:
     """``task(i)``, ``width`` floats, for i = 0..n-1 (n >= 1), as an
     (n, width) array.
 
     The tasks run in k = min(n, usable CPUs) contiguous shares, in order
-    within each.  This process runs share 0; each other share runs in a
+    within each; a platform without ``os.fork`` or ``os.sched_getaffinity``
+    has one usable CPU.  This process runs share 0; each other share runs in a
     forked child, which sends each result as raw float64 bytes through a
     pipe, so the values are bit for bit those of a plain loop.  For a share
     whose child fails, cannot be forked or sends fewer results, this process
@@ -122,7 +116,9 @@ def _map_tasks(task: Callable[[int], Sequence[float]], n: int,
     here, and since every earlier task succeeded, it is the error the plain
     loop would raise.  Every child is reaped before this returns or raises.
     """
-    k = min(n, _usable_cpus())
+    usable = (len(os.sched_getaffinity(0))
+              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    k = min(n, usable)
     shares = [range(n * s // k, n * (s + 1) // k) for s in range(k)]
     out = np.empty((n, width))
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
