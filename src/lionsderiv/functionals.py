@@ -41,7 +41,8 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measure import DiscreteMeasure, _exact_groups, _exact_sum, _fsum_or_nan, mean
+from .measure import (DiscreteMeasure, _certified_sum, _exact_groups, _exact_sum,
+                      _fsum_or_nan, _split_sum, mean)
 
 __all__ = [
     "Functional",
@@ -373,41 +374,54 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
     even = not any(spec.coefficients[1::2])
     odd = not any(spec.coefficients[0::2])
 
+    def pair_parts(mu: DiscreteMeasure, reduce: Callable) -> list | None:
+        """``reduce(terms, count, scratch)`` of the diagonal and of each
+        block of pair terms, listed once for each time those terms count in
+        the M x M sum; None where any ``reduce`` is None.  ``reduce`` is
+        :func:`~lionsderiv.measure._exact_groups` or
+        :func:`~lionsderiv.measure._split_sum`, with ``count`` all M^2
+        terms."""
+        atoms, weights = mu.atoms, mu.weights
+        count = atoms.size * atoms.size
+        # One set of block-sized buffers per evaluation: the terms of a
+        # block, and the temporaries of reduce.
+        size = max(_pair_block_size(atoms.size), atoms.size)
+        block_terms = np.empty(size)
+        scratch = (np.empty(size), np.empty(size))
+
+        def block(products, gaps):
+            terms = spec.values(gaps, out=block_terms[:gaps.size].reshape(gaps.shape))
+            return reduce(np.multiply(products, terms, out=terms), count, scratch)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [reduce((weights * weights) * spec.values(atoms - atoms), count, scratch)]
+            if parts[0] is None:
+                return None
+            for products, gaps in _pair_blocks(weights, atoms):
+                part = block(products, gaps)
+                if part is None:
+                    return None
+                if even:
+                    parts += (part, part)
+                elif not odd:  # an odd kernel's swapped terms cancel these
+                    swapped = block(products, np.negative(gaps, out=gaps))
+                    if swapped is None:
+                        return None
+                    parts += (part, swapped)
+        return parts
+
     def pair_groups(mu: DiscreteMeasure) -> list[float] | None:
         """The exact groups of the M x M terms; None where ``_exact_groups``
         of the whole matrix is None: a term is not finite, or the terms
         come near overflow."""
-        atoms, weights = mu.atoms, mu.weights
-        count = atoms.size * atoms.size
-        # One set of block-sized buffers per evaluation: the terms of a
-        # block, and the temporaries of _exact_groups.
-        size = _pair_block_size(atoms.size)
-        block_terms = np.empty(size)
-        scratch = (np.empty(size), np.empty(size))
-
-        def block_groups(products, gaps):
-            terms = spec.values(gaps, out=block_terms[:gaps.size].reshape(gaps.shape))
-            return _exact_groups(np.multiply(products, terms, out=terms), count, scratch)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagonal = (weights * weights) * spec.values(atoms - atoms)
-            groups = _exact_groups(diagonal, count)
-            if groups is None:
-                return None
-            for products, gaps in _pair_blocks(weights, atoms):
-                terms = block_groups(products, gaps)
-                if terms is None:
-                    return None
-                if even:
-                    groups += terms + terms
-                elif not odd:  # an odd kernel's swapped terms cancel these
-                    swapped = block_groups(products, np.negative(gaps, out=gaps))
-                    if swapped is None:
-                        return None
-                    groups += terms + swapped
-        return groups
+        parts = pair_parts(mu, _exact_groups)
+        return None if parts is None else [g for part in parts for g in part]
 
     def evaluate(mu: DiscreteMeasure) -> float:
+        parts = pair_parts(mu, _split_sum)
+        total = None if parts is None else _certified_sum(parts)
+        if total is not None:
+            return total
         groups = pair_groups(mu)
         if groups is not None:
             return math.fsum(groups)

@@ -20,9 +20,13 @@ order-independent and bit-stable across runs, and atom merging uses exact
 float equality only.  Both choices are deliberate: they make law-level
 computations bitwise invariant under permutations and exact weight
 splittings of the underlying sample.  Sums of term arrays go through
-``_exact_sum``, which adds the terms exactly per exponent on the array and
-rounds once, so it returns ``math.fsum``'s answer bit for bit without
-turning every term into a Python float.
+``_exact_sum``, which returns ``math.fsum``'s answer bit for bit without
+turning every term into a Python float.  It first splits each term exactly
+into a high part, whose float sum is exact, and a low part, whose float sum
+has a known error bound; where both ends of that bound round to the same
+float, that float is fsum's answer, since rounding to nearest never
+decreases.  Otherwise it adds the terms exactly per exponent on the array
+and rounds once.
 
 Note on the atomless carrier: a genuinely atomic probability space (e.g. a
 two-point space with unequal masses) cannot be expressed here -- sample
@@ -376,16 +380,17 @@ def _weighted_l2(weights: np.ndarray, d: np.ndarray) -> float:
     return math.sqrt(max(total, 0.0))
 
 
-# Exact sums of term arrays.  The terms are grouped by exponent, and each
-# term is split into its leading 27 and its trailing 26 significant bits;
-# ``np.bincount`` adds each part per exponent.  In units of the group's last
-# place, a leading part is a multiple of 2^26 below 2^53, i.e. fewer than
-# 2^27 steps of 2^26, and a trailing part is a whole number below 2^26.  So
-# with fewer than 2^26 terms every running group sum is a whole number of
-# steps below 2^53 and no addition rounds: the group sums are exact.  One
-# ``math.fsum`` over those few dozen floats rounds their exact total once,
-# which gives the correctly rounded sum of the terms, as fsum over the terms
-# does.
+# Exact sums of term arrays, where the certified split sum below cannot
+# decide the rounding, and the base of the shift probes' re-sums.  The terms
+# are grouped by exponent, and each term is split into its leading 27 and its
+# trailing 26 significant bits; ``np.bincount`` adds each part per
+# exponent.  In units of the group's last place, a leading part is a multiple
+# of 2^26 below 2^53, i.e. fewer than 2^27 steps of 2^26, and a trailing part
+# is a whole number below 2^26.  So with fewer than 2^26 terms every running
+# group sum is a whole number of steps below 2^53 and no addition rounds: the
+# group sums are exact.  One ``math.fsum`` over those few dozen floats rounds
+# their exact total once, which gives the correctly rounded sum of the terms,
+# as fsum over the terms does.
 _TRAILING = np.uint64((1 << 26) - 1)
 _EXPONENT = 0x7FF
 _MAX_TERMS = 1 << 26
@@ -426,15 +431,79 @@ def _exact_groups(terms, count: int | None = None,
     return groups[groups != 0].tolist()
 
 
+def _split_sum(terms: np.ndarray, count: int | None = None,
+               scratch: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[float, float, float] | None:
+    """(tau, s, err): the exact sum of the float array ``terms`` lies within
+    ``err`` of tau + s.  None where a term is not finite or the overflow
+    bound of :func:`_exact_groups` fails (``count`` as there), and where the
+    terms are so small that ``err`` would leave the normal range.
+
+    With n terms below 2^x in magnitude and sigma = 2^(x + bitlen(n + 2)),
+    q = (t + sigma) - sigma and r = t - q split every term exactly into a
+    multiple q of u*sigma (u = 2^-53) at most sigma / 2^bitlen(n + 2) in
+    magnitude and a rest |r| <= u*sigma (Rump, Ogita & Oishi 2008, the
+    extraction lemma).  Every partial sum of the q is a multiple of u*sigma
+    below sigma, so tau, their float sum, is exact in any order.  s, the
+    float sum of the r, is off by at most (n - 1)u * n*u*sigma (1 + u)^n in
+    any order, which err = 2n^2 u^2 sigma bounds.  ``scratch`` is as for
+    :func:`_exact_groups`; only its first array is used."""
+    n = terms.size
+    if n == 0:
+        return 0.0, 0.0, 0.0
+    q = np.abs(terms, out=None if scratch is None else scratch[0][:n].reshape(terms.shape))
+    top = float(np.maximum.reduce(q, axis=None))
+    if top == 0.0:  # fsum over zeros alone is 0.0, whatever their signs
+        return 0.0, 0.0, 0.0
+    if not top < math.inf:
+        return None
+    x = math.frexp(top)[1]  # top < 2^x; x - 1 is its unbiased exponent
+    if x + (n if count is None else count).bit_length() > 1020:
+        return None
+    k = x + (n + 2).bit_length()
+    if k - 106 < -1022:  # err = 2n^2 * 2^(k - 106) must stay normal, so exact
+        return None
+    sigma = math.ldexp(1.0, k)
+    np.subtract(np.add(terms, sigma, out=q), sigma, out=q)
+    tau = float(np.add.reduce(q, axis=None))
+    s = float(np.add.reduce(np.subtract(terms, q, out=q), axis=None))
+    return tau, s, math.ldexp(2.0 * n * n, k - 106)
+
+
+def _certified_sum(parts: list[tuple[float, float, float]]) -> float | None:
+    """fsum over the terms whose split sums (:func:`_split_sum`) are
+    ``parts``, bit for bit; None where their bounds cannot decide it.
+
+    The exact sum T lies between A - E and A + E, with A the exact sum of
+    every tau and s and E the sum of every err.  Rounding to nearest never
+    decreases, so where A - E and A + E round to the same float, T rounds to
+    it too, and that is fsum's answer over the terms.  Where they differ,
+    as when T is near a rounding boundary or near 0, the caller sums the
+    terms exactly instead."""
+    estimate = [v for tau, s, _ in parts for v in (tau, s)]
+    errs = [err for *_, err in parts]
+    lo = math.fsum(estimate + [-err for err in errs])
+    return lo if lo == math.fsum(estimate + errs) else None
+
+
 def _exact_sum(terms) -> float:
     """``math.fsum`` of an array of terms, bit for bit, or NaN where fsum
     raises: the terms hold both +inf and -inf, or a partial sum overflows.
-    Only where a term is not finite or the terms come near the overflow
-    threshold does fsum run over the terms themselves."""
+
+    The certified split sum answers first (:func:`_certified_sum`).  Where
+    it cannot decide the rounding, the exact per-exponent groups of
+    :func:`_exact_groups` give the sum.  Only where a term is not finite or
+    the terms come near the overflow threshold does fsum run over the terms
+    themselves."""
+    terms = np.asarray(terms, dtype=float).ravel()
+    part = _split_sum(terms)
+    total = None if part is None else _certified_sum([part])
+    if total is not None:
+        return total
     groups = _exact_groups(terms)
     if groups is not None:
         return math.fsum(groups)
-    return _fsum_or_nan(np.asarray(terms, dtype=float).ravel().tolist())
+    return _fsum_or_nan(terms.tolist())
 
 
 def _fsum_or_nan(terms: list[float]) -> float:

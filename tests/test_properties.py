@@ -32,9 +32,10 @@ from lionsderiv import (
     make_variance,
     wasserstein2,
 )
+from lionsderiv import functionals, measure
 from lionsderiv.estimator import STEP_FLOOR, _ShiftProbes
 from lionsderiv.functionals import _ExactSum
-from lionsderiv.measure import _exact_sum, _weighted_l2
+from lionsderiv.measure import _certified_sum, _exact_sum, _split_sum, _weighted_l2
 
 finite_values = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 raw_weights = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
@@ -555,6 +556,33 @@ def test_exact_sum_is_fsum_or_nan_bit_for_bit(terms):
         assert _bits(resummed) == _bits(math.fsum(terms[2:].tolist() + terms[2:4].tolist()))
 
 
+def _split_ties(head, k):
+    """``head`` then 2^-53 split into 2^k equal terms: an exact sum halfway
+    between two floats, which fsum rounds to the even one."""
+    return np.concatenate(([head], np.full(2 ** k, 2.0 ** -53 / 2 ** k)))
+
+
+def _cancelling(seed, size):
+    """[x.sum(), *-x]: the exact sum is the rounding error of x.sum(), far
+    below every term."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-20, 20, size))
+    return np.concatenate(([x.sum()], -x))
+
+
+@pytest.mark.parametrize("terms", [
+    _split_ties(1.0, 0), _split_ties(1.0, 3), _split_ties(1.0, 10),  # rounds down to 1
+    _split_ties(1.0 + 2.0 ** -52, 0), _split_ties(1.0 + 2.0 ** -52, 10),  # rounds up
+    _cancelling(1, 10), _cancelling(2, 1000), _cancelling(3, 4096),
+], ids=lambda terms: f"{terms.size}terms")
+def test_exact_sum_where_the_certificate_declines_is_fsum(terms):
+    # Ties and sums far below their terms leave the rounding to the exact
+    # groups; the certified split sum must not answer.
+    part = _split_sum(terms)
+    assert part is not None and _certified_sum([part]) is None
+    assert _bits(_exact_sum(terms)) == _bits(math.fsum(terms.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # closed forms on arrays against the per-point scalar code they replaced
 # ---------------------------------------------------------------------------
@@ -637,7 +665,28 @@ def wide_measures(draw, max_size=9):
     return make_measure(atoms, [r / total for r in raw])
 
 
+def _record_certificates(monkeypatch):
+    """Per ``interaction`` evaluation from here on, whether the certified
+    split sum answered (True) or the exact groups did (False)."""
+    answered = []
+
+    def certified_sum(parts):
+        total = measure._certified_sum(parts)
+        answered.append(total is not None)
+        return total
+
+    monkeypatch.setattr(functionals, "_certified_sum", certified_sum)
+    return answered
+
+
+HALF_HALF = make_measure([0.0, 1.0], [0.5, 0.5])
+
+
 @given(wide_measures(), interaction_kernels)
+@example(HALF_HALF, [0.1, 0.2, 0.5])  # mixed: certified
+@example(HALF_HALF, [0, 1, 0, -0.25])  # odd: certified 0
+@example(HALF_HALF, [-0.25, 0, 0.5])  # the terms sum to 0 exactly: groups
+@example(HALF_HALF, [-0.25, 0.5, 0.5])  # the same with an odd part: groups
 @settings(max_examples=400, deadline=None)
 def test_interaction_is_fsum_over_the_full_matrix(mu, coeffs):
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
@@ -653,10 +702,31 @@ def test_interaction_near_the_overflow_threshold_is_fsum_or_nan(coeffs, gap, n_a
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
 
 
-@pytest.mark.parametrize("n_atoms", [600, 601])
-@pytest.mark.parametrize("coeffs", [[0, 0, 0.5], [0, 1, 0, -0.25], [0.1, 0.2, 0.5]])
-def test_interaction_over_many_pair_blocks_is_fsum_over_the_full_matrix(coeffs, n_atoms):
+def _seeded_measure(n_atoms):
     rng = np.random.default_rng(n_atoms)
     raw = rng.uniform(0.05, 1.0, n_atoms)
-    mu = make_measure(rng.uniform(-2.0, 2.0, n_atoms), raw / math.fsum(raw.tolist()))
+    return make_measure(rng.uniform(-2.0, 2.0, n_atoms), raw / math.fsum(raw.tolist()))
+
+
+@pytest.mark.parametrize("n_atoms", [600, 601])
+@pytest.mark.parametrize("coeffs", [[0, 0, 0.5], [0, 1, 0, -0.25], [0.1, 0.2, 0.5]])
+def test_interaction_over_many_pair_blocks_is_fsum_over_the_full_matrix(
+        coeffs, n_atoms, monkeypatch):
+    answered = _record_certificates(monkeypatch)
+    mu = _seeded_measure(n_atoms)
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
+    assert answered == [True]
+
+
+@pytest.mark.parametrize("n_atoms", [2, 33, 600, 601])
+@pytest.mark.parametrize("odd", [0.0, 1e-3])
+def test_interaction_where_the_certificate_declines_is_fsum_over_the_full_matrix(
+        n_atoms, odd, monkeypatch):
+    # w(u) = u^2 / 2 + odd * u - Var(mu): the M x M terms sum to about 0,
+    # far below the bound on the split sums' error, so the exact groups
+    # decide the rounding.
+    answered = _record_certificates(monkeypatch)
+    mu = _seeded_measure(n_atoms)
+    coeffs = [-make_variance()(mu), odd, 0.5]
+    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
+    assert answered == [False]

@@ -1,6 +1,7 @@
 """Property checks: structure identity, law invariance, mass linearity,
 oracle comparison, convergence study."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from lionsderiv import (
+    DiscreteMeasure,
     NoClosedFormError,
     Functional,
     StepSchedule,
@@ -29,6 +31,8 @@ from lionsderiv import (
     make_variance,
     refine_until_converged,
 )
+
+from lionsderiv import measure
 
 from conftest import random_sample
 
@@ -419,6 +423,71 @@ def test_sigchld_ignored_changes_no_report_and_no_error(monkeypatch):
                 fails_here, sample, est, directions=7, seed=seed))
     finally:
         signal.signal(signal.SIGCHLD, previous)
+
+
+# ---------------------------------------------------------------------------
+# negative controls: each check rejects a wrong derivative
+# ---------------------------------------------------------------------------
+
+CONTROL_SAMPLE = random_sample(np.random.default_rng(3), size=16)
+BUILTINS = {
+    "linear": make_linear([0.0, 0.0, 0.0, 1.0]),
+    "mean_square": make_mean_square(),
+    "variance": VARIANCE,
+    "interaction": make_interaction([0.0, 0.0, 0.5]),
+}
+MISFITS = {
+    "scaled": lambda g: g * (1.0 + 1e-5),
+    "shifted": lambda g: g + 1e-4,
+    "reversed": lambda g: g[::-1],
+}
+
+
+def _fails_finitely(report):
+    assert report.status == "fail"
+    assert math.isfinite(report.discrepancy)
+    assert report.discrepancy > report.tolerance
+
+
+# mean_square's g is constant, so reversing it leaves it right.
+@pytest.mark.parametrize("name, misfit", [
+    (name, misfit) for name in sorted(BUILTINS) for misfit in sorted(MISFITS)
+    if (name, misfit) != ("mean_square", "reversed")])
+def test_structure_rejects_a_wrong_derivative(name, misfit):
+    f = BUILTINS[name]
+    est = lions_derivative_grid(f, CONTROL_SAMPLE, 5)
+    assert check_structure(f, CONTROL_SAMPLE, est, directions=16).status == "pass"
+    wrong = dataclasses.replace(est, g_values=MISFITS[misfit](est.g_values))
+    _fails_finitely(check_structure(f, CONTROL_SAMPLE, wrong, directions=16))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_oracle_rejects_a_wrong_closed_form(name):
+    f = BUILTINS[name]
+    assert check_against_oracle(f, CONTROL_SAMPLE, 5).status == "pass"
+    true_g = f.analytic_derivative
+    wrong = dataclasses.replace(
+        f, analytic_derivative=lambda mu, xs: true_g(mu, xs) * (1.0 + 1e-4))
+    _fails_finitely(check_against_oracle(wrong, CONTROL_SAMPLE, 5))
+
+
+def _left_to_right_merge(atoms, weights):
+    """make_measure, except that equal atoms add their weights one by one in
+    the order given: the merged weights then depend on the sample order."""
+    order = np.argsort(np.asarray(atoms, dtype=float), kind="stable")
+    merged: dict[float, float] = {}
+    for x, p in zip(np.asarray(atoms, dtype=float)[order].tolist(),
+                    np.asarray(weights, dtype=float)[order].tolist()):
+        merged[x] = merged.get(x, 0.0) + p
+    masses = list(merged.values())
+    return DiscreteMeasure(np.array(list(merged)), np.array(masses) / math.fsum(masses))
+
+
+def test_law_invariance_rejects_an_order_dependent_merge(monkeypatch):
+    sample = random_sample(np.random.default_rng(3), size=200, weighted=True)
+    assert check_law_invariance(VARIANCE, sample, 3, transforms=4).status == "pass"
+    monkeypatch.setattr(measure, "make_measure", _left_to_right_merge)
+    _fails_finitely(check_law_invariance(VARIANCE, sample, 3, transforms=4))
 
 
 # ---------------------------------------------------------------------------
