@@ -255,58 +255,36 @@ def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
     return make_measure(atoms, mu.weights)
 
 
-class _ShiftProbes:
-    """The one-atom shifts of ``mu``: probe (r, j) moves atom
-    ``indices[r]`` by ``shifts[r, j]``, and its measure is bit for bit
-    ``_shifted(mu, indices[r], shifts[r, j])``.
+def _known_shift_values(f, mu: DiscreteMeasure, indices: np.ndarray,
+                        shifts: np.ndarray) -> np.ndarray:
+    """f at each one-atom shift of ``mu`` that stays inside its gap, from
+    one call of f's ``shift_evaluator``; NaN where it declines and at the
+    other probes.  Probe (r, j) moves atom ``indices[r]`` by ``shifts[r, j]``.
 
-    Canonical weights depend only on the weights, and a shifted atom that
-    stays finite and strictly between its neighbours (``inside``) needs no
-    sorting or merging.  Such a probe is therefore the canonical form of
-    ``mu``, computed once, with one atom replaced, and the functional's
-    incremental ``shift_evaluator`` may give its value.  Every other shift
-    goes through ``make_measure``, which keeps the merge-on-coincidence
-    semantics.
+    Canonical weights depend only on the weights, and an atom moved strictly
+    between its neighbours needs no sorting or merging.  So such a probe's
+    measure, ``_shifted(mu, i, eps)``, is the canonical form of ``mu`` with
+    one atom replaced, on which the evaluator's values are defined.
     """
-
-    def __init__(self, mu: DiscreteMeasure, indices: np.ndarray, shifts: np.ndarray):
-        self.mu = mu
-        self.indices = indices
-        self.shifts = shifts
-        # Atom indices line up: the atoms of mu are strictly increasing, and
-        # its weights sum to 1 within 1e-12, so renormalizing them cannot
-        # round one to zero.
-        self.canon = make_measure(mu.atoms, mu.weights)
-        atoms = self.canon.atoms
-        at = indices[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.positions = atoms[at] + shifts + 0.0
-        left = np.concatenate(([-math.inf], atoms[:-1]))[at]
-        right = np.concatenate((atoms[1:], [math.inf]))[at]
-        self.inside = (np.isfinite(self.positions) & (left < self.positions)
-                       & (self.positions < right))
-
-    def known_values(self, f) -> np.ndarray:
-        """f at every probe inside its gap from one call of f's
-        ``shift_evaluator``; NaN where it declines and at the other probes."""
-        values = np.full(self.shifts.shape, math.nan)
-        factory = getattr(f, "shift_evaluator", None)
-        if factory is None or not self.inside.any():
-            return values
-        shift_values = factory(self.canon)
-        if shift_values is not None:
-            indices = np.broadcast_to(self.indices[:, None], self.shifts.shape)
-            values[self.inside] = shift_values(indices[self.inside],
-                                               self.positions[self.inside])
+    values = np.full(shifts.shape, math.nan)
+    factory = getattr(f, "shift_evaluator", None)
+    if factory is None:
         return values
-
-    def measure(self, r: int, j: int) -> DiscreteMeasure:
-        i = self.indices[r]
-        if not self.inside[r, j]:
-            return _shifted(self.mu, i, self.shifts[r, j])
-        atoms = np.array(self.canon.atoms)
-        atoms[i] = self.positions[r, j]
-        return DiscreteMeasure(atoms, self.canon.weights)
+    # Atom indices line up: the atoms of mu are strictly increasing, and its
+    # weights sum to 1 within 1e-12, so renormalizing them cannot round one
+    # to zero.
+    canon = make_measure(mu.atoms, mu.weights)
+    atoms = canon.atoms
+    at = np.broadcast_to(indices[:, None], shifts.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = atoms[at] + shifts + 0.0
+    left = np.concatenate(([-math.inf], atoms[:-1]))[at]
+    right = np.concatenate((atoms[1:], [math.inf]))[at]
+    inside = np.isfinite(positions) & (left < positions) & (positions < right)
+    shift_values = factory(canon) if inside.any() else None
+    if shift_values is not None:
+        values[inside] = shift_values(at[inside], positions[inside])
+    return values
 
 
 def _mass_moved(mu: DiscreteMeasure, i: int, frac: float, eps: float) -> DiscreteMeasure:
@@ -433,13 +411,12 @@ def _shift_quotients(f, mu: DiscreteMeasure, indices: np.ndarray,
     probe inside its gap in one call; the probes it declines, and the
     others, are evaluated in full, atom by atom."""
     shifts = _signed_steps(schedule.steps(at=mu.atoms[indices]), schedule.mode)
-    probes = _ShiftProbes(mu, indices, shifts)
     return _quotients(
         shifts, mu.weights[indices], schedule.mode,
         lambda: _finite(f(mu), "the unperturbed measure"),
-        lambda r, j: f(probes.measure(r, j)),
+        lambda r, j: f(_shifted(mu, indices[r], shifts[r, j])),
         lambda r, j: f"atom {indices[r]} shifted by {shifts[r, j].item()!r}",
-        probes.known_values(f))
+        _known_shift_values(f, mu, indices, shifts))
 
 
 def atom_shift_quotients(f, mu: DiscreteMeasure, i: int,

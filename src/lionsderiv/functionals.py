@@ -41,8 +41,8 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measure import (DiscreteMeasure, _certified_sum, _exact_groups, _exact_sum,
-                      _fsum_or_nan, _split_sum, mean)
+from .measure import (DiscreteMeasure, _certified_sum, _exact_parts, _exact_sum,
+                      _fsum_or_nan, _partials, _split_sum, mean)
 
 __all__ = [
     "Functional",
@@ -151,10 +151,11 @@ class Functional:
     ``mean_square`` and ``variance`` re-sum in O(1) per probe,
     ``interaction`` in O(M) for M atoms, where a full evaluation costs O(M)
     and O(M^2); each keeps O(M) memory per base measure.  Both rest on exact
-    summation: the exactly rounded sum of the base terms with some swapped
-    for new ones is the sum a full evaluation forms.  A functional added
-    with :func:`register` opts in by passing ``shift_evaluator=`` to its
-    ``Functional``; left None, every probe is evaluated in full.
+    summation: the base keeps fsum's partials of its exact term sum, and
+    fsum over them with some terms swapped for new ones is the sum a full
+    evaluation forms.  A functional added with :func:`register` opts in by
+    passing ``shift_evaluator=`` to its ``Functional``; left None, every
+    probe is evaluated in full.
     """
 
     name: str
@@ -184,42 +185,16 @@ class Functional:
             return self.analytic_derivative(mu, np.asarray(xs, dtype=float))
 
 
-class _ExactSum:
-    """Exact sum of a term array, re-summed with a few terms swapped.
-
-    ``partials`` are a few nonzero floats, largest first, whose exact sum is
-    the exact sum of the terms, rounded off one float at a time from the
-    terms themselves or from their exact per-exponent group sums, as
-    :func:`~lionsderiv.measure._exact_groups` gives them; fsum over either
-    must not overflow.  ``math.fsum`` returns the correctly rounded exact sum
-    of its inputs, so ``fsum(partials + [-old..., new...])`` is bitwise
-    equal to ``fsum`` over the full term array with the old terms replaced
-    by the new ones, at a cost set by the number of terms swapped, not by
-    the length of the array.  Any floats whose exact sum is that of the old
-    terms negated serve as well as those terms.
-    """
-
-    def __init__(self, terms: list[float]):
-        rest = list(terms)
-        self.partials: list[float] = []
-        while p := math.fsum(rest):
-            self.partials.append(p)
-            rest.append(-p)
-
-    @classmethod
-    def of(cls, terms: np.ndarray) -> "_ExactSum | None":
-        """None when a term is not finite or the terms could overflow."""
-        groups = _exact_groups(terms)
-        return None if groups is None else cls(groups)
-
-    def plus(self, rows) -> np.ndarray:
-        """Per list of terms in ``rows``, the sum with those terms added, as
-        an array; NaN where it is not finite or fsum raises, where a full
-        evaluation could flag the probe or fail differently."""
-        partials = self.partials
-        sums = np.array([_fsum_or_nan(partials + terms) for terms in rows], dtype=float)
-        sums[~np.isfinite(sums)] = math.nan
-        return sums
+def _resums(partials: list[float], rows) -> np.ndarray:
+    """Per list of terms in ``rows``, fsum over ``partials`` and those
+    terms, as an array; NaN where it is not finite or fsum raises, where a
+    full evaluation could flag the probe or fail differently.  With the
+    partials of a term array (:func:`~lionsderiv.measure._exact_parts`) and
+    some of its terms negated, or floats whose exact sum is theirs, plus new
+    ones, that is fsum over the array with those terms replaced."""
+    sums = np.array([_fsum_or_nan(partials + terms) for terms in rows], dtype=float)
+    sums[~np.isfinite(sums)] = math.nan
+    return sums
 
 
 def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
@@ -241,14 +216,14 @@ def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
 
     def shift_evaluator(canon: DiscreteMeasure) -> ShiftValues | None:
         arrays = term_arrays(canon)
-        sums = [_ExactSum.of(t) for t in arrays]
+        sums = [_exact_parts(t) for t in arrays]
         if any(s is None for s in sums):
             return None
 
         def values(indices: np.ndarray, positions: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):
                 news = terms(canon.weights[indices], positions)
-                totals = [s.plus(map(list, zip((-old[indices]).tolist(), new.tolist())))
+                totals = [_resums(s, map(list, zip((-old[indices]).tolist(), new.tolist())))
                           for s, old, new in zip(sums, arrays, news)]
                 return combine(*totals)
 
@@ -367,7 +342,11 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
     are all 0 it is the same term, and for one whose even coefficients are
     all 0 the same term negated, wherever the terms are finite: the pair
     adds the term twice, or nothing.  Other kernels evaluate it, as
-    ``p_j*p_k * w(-(x_j - x_k))``.
+    ``p_j*p_k * w(-(x_j - x_k))``.  One certificate over the split sums of
+    the blocks of terms answers first; where it cannot, the exact parts of
+    each block, which the shift evaluator's base also keeps, give the sum;
+    where a term is not finite or the terms come near overflow, fsum over
+    the whole matrix does.
     """
     spec = w if isinstance(w, PotentialSpec) else PotentialSpec(tuple(w))
     dw = spec.derivative()
@@ -378,16 +357,16 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
         """``reduce(terms, count, scratch)`` of the diagonal and of each
         block of pair terms, listed once for each time those terms count in
         the M x M sum; None where any ``reduce`` is None.  ``reduce`` is
-        :func:`~lionsderiv.measure._exact_groups` or
-        :func:`~lionsderiv.measure._split_sum`, with ``count`` all M^2
-        terms."""
+        :func:`~lionsderiv.measure._split_sum`, or
+        :func:`~lionsderiv.measure._exact_parts` by way of
+        ``pair_partials``, with ``count`` all M^2 terms."""
         atoms, weights = mu.atoms, mu.weights
         count = atoms.size * atoms.size
         # One set of block-sized buffers per evaluation: the terms of a
         # block, and the temporaries of reduce.
         size = max(_pair_block_size(atoms.size), atoms.size)
         block_terms = np.empty(size)
-        scratch = (np.empty(size), np.empty(size))
+        scratch = np.empty(size)
 
         def block(products, gaps):
             terms = spec.values(gaps, out=block_terms[:gaps.size].reshape(gaps.shape))
@@ -410,39 +389,38 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
                     parts += (part, swapped)
         return parts
 
-    def pair_groups(mu: DiscreteMeasure) -> list[float] | None:
-        """The exact groups of the M x M terms; None where ``_exact_groups``
-        of the whole matrix is None: a term is not finite, or the terms
-        come near overflow."""
-        parts = pair_parts(mu, _exact_groups)
-        return None if parts is None else [g for part in parts for g in part]
+    def pair_partials(mu: DiscreteMeasure) -> list[float] | None:
+        """fsum's partials of the exact sum of the M x M terms; None where
+        ``_exact_parts`` of the whole matrix is None: a term is not finite,
+        or the terms come near overflow."""
+        parts = pair_parts(mu, lambda terms, count, _: _exact_parts(terms, count))
+        return None if parts is None else _partials([p for part in parts for p in part])
 
     def evaluate(mu: DiscreteMeasure) -> float:
         parts = pair_parts(mu, _split_sum)
         total = None if parts is None else _certified_sum(parts)
         if total is not None:
             return total
-        groups = pair_groups(mu)
-        if groups is not None:
-            return math.fsum(groups)
+        partials = pair_partials(mu)
+        if partials is not None:
+            return math.fsum(partials)
         # A term is not finite or the terms come near overflow: fsum over
         # the matrix row by row decides between a value and NaN.
         atoms, weights = mu.atoms, mu.weights
         with np.errstate(over="ignore", invalid="ignore"):
             terms = (weights[:, None] * weights) * spec.values(atoms[:, None] - atoms)
-        return _exact_sum(terms)
+        return _fsum_or_nan(terms.ravel().tolist())
 
     def shift_evaluator(canon: DiscreteMeasure) -> ShiftValues | None:
-        groups = pair_groups(canon)
-        if groups is None:
+        partials = pair_partials(canon)
+        if partials is None:
             return None
-        total = _ExactSum(groups)
         atoms, weights = canon.atoms, canon.weights
         m = atoms.size
         line_weights = np.concatenate((weights, weights))
         probes_per_chunk = max(1, _PAIR_BLOCK // line_weights.size)
         # Per atom, a few floats whose exact sum is that of its old lines
-        # negated.  Those lines are terms of the base, which pair_groups
+        # negated.  Those lines are terms of the base, which pair_partials
         # found finite and far from overflow, so fsum over them cannot raise.
         old_lines: dict[int, list[float]] = {}
         # One set of chunk buffers per base measure, filled for every chunk.
@@ -475,9 +453,9 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
                 first = np.array(sorted(set(i.tolist()) - old_lines.keys()), dtype=int)
                 negated = lines(first, atoms[first])
                 for k, line in zip(first.tolist(), np.negative(negated, out=negated).tolist()):
-                    old_lines[k] = _ExactSum(line).partials
-                out[chunk] = total.plus(line.tolist() + old_lines[k] for line, k in
-                                        zip(lines(i, positions[chunk]), i.tolist()))
+                    old_lines[k] = _partials(line)
+                out[chunk] = _resums(partials, (line.tolist() + old_lines[k] for line, k in
+                                                zip(lines(i, positions[chunk]), i.tolist())))
             return out
 
         return values

@@ -25,8 +25,8 @@ turning every term into a Python float.  It first splits each term exactly
 into a high part, whose float sum is exact, and a low part, whose float sum
 has a known error bound; where both ends of that bound round to the same
 float, that float is fsum's answer, since rounding to nearest never
-decreases.  Otherwise it adds the terms exactly per exponent on the array
-and rounds once.
+decreases.  Otherwise it splits the low parts again, until nothing is
+left, and rounds the exact sum of the high parts once.
 
 Note on the atomless carrier: a genuinely atomic probability space (e.g. a
 two-point space with unequal masses) cannot be expressed here -- sample
@@ -380,94 +380,93 @@ def _weighted_l2(weights: np.ndarray, d: np.ndarray) -> float:
     return math.sqrt(max(total, 0.0))
 
 
-# Exact sums of term arrays, where the certified split sum below cannot
-# decide the rounding, and the base of the shift probes' re-sums.  The terms
-# are grouped by exponent, and each term is split into its leading 27 and its
-# trailing 26 significant bits; ``np.bincount`` adds each part per
-# exponent.  In units of the group's last place, a leading part is a multiple
-# of 2^26 below 2^53, i.e. fewer than 2^27 steps of 2^26, and a trailing part
-# is a whole number below 2^26.  So with fewer than 2^26 terms every running
-# group sum is a whole number of steps below 2^53 and no addition rounds: the
-# group sums are exact.  One ``math.fsum`` over those few dozen floats rounds
-# their exact total once, which gives the correctly rounded sum of the terms,
-# as fsum over the terms does.
-_TRAILING = np.uint64((1 << 26) - 1)
-_EXPONENT = 0x7FF
-_MAX_TERMS = 1 << 26
+def _in_range(top: float, count: int) -> bool:
+    """Whether fsum over ``count`` terms at most ``top`` in magnitude, or
+    over the parts of their exact sum, is far from overflow: top < 2^x for
+    x = frexp(top)[1], and count * 2^x < 2^1020."""
+    return top < math.inf and math.frexp(top)[1] + count.bit_length() <= 1020
 
 
-def _exact_groups(terms, count: int | None = None,
-                  scratch: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> list[float] | None:
-    """Nonzero floats, at most two per exponent of the terms, whose exact
-    sum is the exact sum of ``terms``; None where a term is not finite or the
-    terms are so large that a partial sum of ``math.fsum`` could overflow.
+def _extract(terms: np.ndarray, top: float, out: np.ndarray) -> tuple[float, int]:
+    """(tau, k): split every term t of ``terms``, all at most ``top`` > 0 in
+    magnitude, exactly into q + r with sigma = 2^k; ``out``, an array of the
+    shape of ``terms`` but not ``terms`` itself, receives the rests r.
 
-    ``count`` is the number of terms in the whole sum when ``terms`` is only
-    one part of it and its groups are added to those of the other parts;
-    the overflow bound then covers all of them.  It defaults to the number
-    of ``terms``.  ``scratch``, two float arrays at least as long as
-    ``terms``, holds the temporaries, so a caller that sums many parts
-    allocates them once."""
+    With n terms below 2^x and k = x + bitlen(n + 2), q = (t + sigma) - sigma
+    is a multiple of u*sigma (u = 2^-53) at most sigma / 2^bitlen(n + 2) in
+    magnitude, and r = t - q, the rounding error of t + sigma, is exact with
+    |r| <= u*sigma (Rump, Ogita & Oishi 2008, the extraction lemma).  Every
+    partial sum of the q is a multiple of u*sigma or of 2^-1074 below sigma,
+    so tau, their float sum, is exact in any order."""
+    k = math.frexp(top)[1] + (terms.size + 2).bit_length()
+    sigma = math.ldexp(1.0, k)
+    q = np.subtract(np.add(terms, sigma, out=out), sigma, out=out)
+    tau = float(np.add.reduce(q, axis=None))
+    np.subtract(terms, q, out=out)
+    return tau, k
+
+
+def _partials(terms: list[float]) -> list[float]:
+    """fsum's partials of the exact sum S of ``terms``: S rounded, then what
+    is left of S rounded, until nothing is.  They depend only on S, so
+    ``fsum(partials + more)`` is ``fsum(terms + more)`` bit for bit.  fsum
+    over the terms must not raise."""
+    rest = list(terms)
+    partials: list[float] = []
+    while p := math.fsum(rest):
+        partials.append(p)
+        rest.append(-p)
+    return partials
+
+
+def _exact_parts(terms, count: int | None = None) -> list[float] | None:
+    """:func:`_partials` of the exact sum of the float array ``terms``; None
+    where a term is not finite or the terms come near overflow
+    (:func:`_in_range`).  ``count`` is the number of terms in the whole sum
+    when ``terms`` is only one part of it; it defaults to their number.
+
+    Rounds of :func:`_extract` split the rests again until they are zero,
+    each sigma at most 2^(bitlen(n + 2) - 52) times the last.  Once sigma is
+    at most 2^-1021, t + sigma stays below 2^-1021, where floats are spaced
+    2^-1074, so it is exact, q = t and the rests are zero."""
     terms = np.asarray(terms, dtype=float).ravel()
-    count = terms.size if count is None else count
-    if count >= _MAX_TERMS:
+    top = float(np.maximum.reduce(np.abs(terms), initial=0.0))
+    if not _in_range(top, terms.size if count is None else count):
         return None
-    if scratch is None:
-        scratch = (np.empty(terms.size), np.empty(terms.size))
-    bits = terms.view(np.uint64)
-    exponent = scratch[0][:terms.size].view(np.int64)
-    np.right_shift(bits, np.uint64(52), out=exponent.view(np.uint64))
-    np.bitwise_and(exponent, _EXPONENT, out=exponent)
-    parts = scratch[1][:terms.size]
-    np.bitwise_and(bits, ~_TRAILING, out=parts.view(np.uint64))
-    leading_sums = np.bincount(exponent, weights=parts)
-    # Each term lies below 2^(e - 1022) for its biased exponent e; beyond
-    # 2^1020 in total an fsum partial could overflow (e = 2047: inf or NaN).
-    if leading_sums.size - 1 - 1022 + count.bit_length() > 1020:
-        return None
-    trailing_sums = np.bincount(exponent, weights=np.subtract(terms, parts, out=parts))
-    groups = np.concatenate((leading_sums, trailing_sums))
-    return groups[groups != 0].tolist()
+    parts = []
+    rest, spare = np.empty(terms.size), np.empty(terms.size)
+    while top:
+        parts.append(_extract(terms, top, rest)[0])
+        # The rests are the next terms, and the other buffer takes theirs.
+        terms, rest, spare = rest, spare, rest
+        top = float(np.maximum.reduce(np.abs(terms, out=rest), initial=0.0))
+    return _partials(parts)
 
 
 def _split_sum(terms: np.ndarray, count: int | None = None,
-               scratch: tuple[np.ndarray, np.ndarray] | None = None
+               scratch: np.ndarray | None = None
                ) -> tuple[float, float, float] | None:
     """(tau, s, err): the exact sum of the float array ``terms`` lies within
-    ``err`` of tau + s.  None where a term is not finite or the overflow
-    bound of :func:`_exact_groups` fails (``count`` as there), and where the
-    terms are so small that ``err`` would leave the normal range.
+    ``err`` of tau + s.  None where :func:`_exact_parts` is None (``count``
+    as there), and where the terms are so small that ``err`` would leave
+    the normal range.
 
-    With n terms below 2^x in magnitude and sigma = 2^(x + bitlen(n + 2)),
-    q = (t + sigma) - sigma and r = t - q split every term exactly into a
-    multiple q of u*sigma (u = 2^-53) at most sigma / 2^bitlen(n + 2) in
-    magnitude and a rest |r| <= u*sigma (Rump, Ogita & Oishi 2008, the
-    extraction lemma).  Every partial sum of the q is a multiple of u*sigma
-    below sigma, so tau, their float sum, is exact in any order.  s, the
-    float sum of the r, is off by at most (n - 1)u * n*u*sigma (1 + u)^n in
-    any order, which err = 2n^2 u^2 sigma bounds.  ``scratch`` is as for
-    :func:`_exact_groups`; only its first array is used."""
+    tau is the first round of :func:`_exact_parts` and s the float sum of
+    the n rests, off by at most (n - 1)u * n*u*sigma (1 + u)^n in any order,
+    which err = 2n^2 u^2 sigma bounds.  ``scratch``, a float array at least
+    as long as ``terms``, holds the rests, so a caller that sums many parts
+    allocates it once."""
     n = terms.size
-    if n == 0:
-        return 0.0, 0.0, 0.0
-    q = np.abs(terms, out=None if scratch is None else scratch[0][:n].reshape(terms.shape))
-    top = float(np.maximum.reduce(q, axis=None))
+    rest = np.abs(terms, out=None if scratch is None else scratch[:n].reshape(terms.shape))
+    top = float(np.maximum.reduce(rest, axis=None, initial=0.0))
     if top == 0.0:  # fsum over zeros alone is 0.0, whatever their signs
         return 0.0, 0.0, 0.0
-    if not top < math.inf:
+    if not _in_range(top, n if count is None else count):
         return None
-    x = math.frexp(top)[1]  # top < 2^x; x - 1 is its unbiased exponent
-    if x + (n if count is None else count).bit_length() > 1020:
-        return None
-    k = x + (n + 2).bit_length()
+    tau, k = _extract(terms, top, rest)
     if k - 106 < -1022:  # err = 2n^2 * 2^(k - 106) must stay normal, so exact
         return None
-    sigma = math.ldexp(1.0, k)
-    np.subtract(np.add(terms, sigma, out=q), sigma, out=q)
-    tau = float(np.add.reduce(q, axis=None))
-    s = float(np.add.reduce(np.subtract(terms, q, out=q), axis=None))
-    return tau, s, math.ldexp(2.0 * n * n, k - 106)
+    return tau, float(np.add.reduce(rest, axis=None)), math.ldexp(2.0 * n * n, k - 106)
 
 
 def _certified_sum(parts: list[tuple[float, float, float]]) -> float | None:
@@ -491,8 +490,8 @@ def _exact_sum(terms) -> float:
     raises: the terms hold both +inf and -inf, or a partial sum overflows.
 
     The certified split sum answers first (:func:`_certified_sum`).  Where
-    it cannot decide the rounding, the exact per-exponent groups of
-    :func:`_exact_groups` give the sum.  Only where a term is not finite or
+    it cannot decide the rounding, fsum over the parts of
+    :func:`_exact_parts` gives the sum.  Only where a term is not finite or
     the terms come near the overflow threshold does fsum run over the terms
     themselves."""
     terms = np.asarray(terms, dtype=float).ravel()
@@ -500,9 +499,9 @@ def _exact_sum(terms) -> float:
     total = None if part is None else _certified_sum([part])
     if total is not None:
         return total
-    groups = _exact_groups(terms)
-    if groups is not None:
-        return math.fsum(groups)
+    partials = _exact_parts(terms)
+    if partials is not None:
+        return math.fsum(partials)
     return _fsum_or_nan(terms.tolist())
 
 

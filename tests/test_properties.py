@@ -33,9 +33,10 @@ from lionsderiv import (
     wasserstein2,
 )
 from lionsderiv import functionals, measure
-from lionsderiv.estimator import STEP_FLOOR, _ShiftProbes
-from lionsderiv.functionals import _ExactSum
-from lionsderiv.measure import _certified_sum, _exact_sum, _split_sum, _weighted_l2
+from lionsderiv.estimator import STEP_FLOOR, _shifted
+from lionsderiv.functionals import _resums
+from lionsderiv.measure import (_certified_sum, _exact_parts, _exact_sum, _split_sum,
+                               _weighted_l2)
 
 finite_values = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 raw_weights = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
@@ -204,19 +205,19 @@ builtins = st.one_of(
 @given(shift_cases())
 @settings(max_examples=300, deadline=None)
 def test_shift_probe_measure_is_bitwise_make_measure(case):
+    # The shift evaluator's values are defined on the canonical form of mu
+    # with one atom moved inside its gap; the estimator's full probe of the
+    # same shift is _shifted, which canonicalizes through make_measure.
     mu, i, step = case
-    atoms = np.array(mu.atoms)
-    atoms[i] += step
-    probes = _ShiftProbes(mu, np.array([i]), np.array([[step]]))
-    try:
-        want = make_measure(atoms, mu.weights)
-    except MeasureError as exc:
-        with pytest.raises(MeasureError, match=re.escape(str(exc))):
-            probes.measure(0, 0)
+    canon = make_measure(mu.atoms, mu.weights)
+    atoms = np.array(canon.atoms)
+    atoms[i] = atoms[i] + step + 0.0
+    if not (math.isfinite(atoms[i]) and (i == 0 or atoms[i - 1] < atoms[i])
+            and (i + 1 == mu.n_atoms or atoms[i] < atoms[i + 1])):
         return
-    got = probes.measure(0, 0)
-    assert _bits(got.atoms) == _bits(want.atoms)
-    assert _bits(got.weights) == _bits(want.weights)
+    got = _shifted(mu, i, step)
+    assert _bits(got.atoms) == _bits(atoms)
+    assert _bits(got.weights) == _bits(canon.weights)
 
 
 @st.composite
@@ -546,14 +547,83 @@ def _fsum_or_nan(terms):
 def test_exact_sum_is_fsum_or_nan_bit_for_bit(terms):
     want = _fsum_or_nan(terms.tolist())
     assert _bits(_exact_sum(terms)) == _bits(want)
-    exact = _ExactSum.of(terms)
-    if exact is not None:  # every term finite, far below the overflow threshold
-        assert _bits(math.fsum(exact.partials)) == _bits(want)
-        assert all(exact.partials) and len(exact.partials) <= 40
+    partials = _exact_parts(terms)
+    if partials is not None:  # every term finite, far below the overflow threshold
+        assert _bits(math.fsum(partials)) == _bits(want)
+        assert all(partials) and len(partials) <= 40
         # the first two terms swapped for copies of the next two
-        (resummed,) = exact.plus([[-t for t in terms[:2].tolist()] + terms[2:4].tolist()])
+        (resummed,) = _resums(partials, [[-t for t in terms[:2].tolist()] + terms[2:4].tolist()])
         assert math.isfinite(resummed)
         assert _bits(resummed) == _bits(math.fsum(terms[2:].tolist() + terms[2:4].tolist()))
+
+
+def _reference_partials(terms, count=None):
+    """The partials of the exact sum of ``terms`` one fsum at a time over
+    Python floats, largest first; None where a term is not finite or
+    frexp(max |t|)[1] + bitlen(count) > 1020, ``count`` defaulting to the
+    number of terms."""
+    rest = terms.tolist()
+    count = len(rest) if count is None else count
+    if not all(math.isfinite(t) for t in rest):
+        return None
+    if math.frexp(max(map(abs, rest), default=0.0))[1] + count.bit_length() > 1020:
+        return None
+    partials = []
+    while p := math.fsum(rest):
+        partials.append(p)
+        rest.append(-p)
+    return partials
+
+
+@given(term_arrays(), st.one_of(st.none(), st.integers(1, 2 ** 40)))
+@settings(max_examples=200, deadline=None)
+def test_exact_parts_are_the_partials_of_fsum(terms, extra):
+    count = None if extra is None else terms.size + extra
+    assert _exact_parts(terms, count) == _reference_partials(terms, count)
+
+
+def _wide(seed, size, lo, hi):
+    rng = np.random.default_rng(seed)
+    return np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(lo, hi + 1, size))
+
+
+def _count_rounds(monkeypatch):
+    rounds = []
+
+    def extract(*args):
+        rounds.append(1)
+        return real(*args)
+
+    real = measure._extract
+    monkeypatch.setattr(measure, "_extract", extract)
+    return rounds
+
+
+@pytest.mark.parametrize("terms, min_rounds", [
+    (_wide(0, 4096, -1000, 1000), 30),  # exponents over about 2000 binary orders
+    (_wide(1, 600, -1074, 1000), 30),
+    (_wide(2, 64, -1074, -1050), 1),  # subnormals only: one exact round
+    (_wide(3, 4096, -1074, -1000), 2),  # a round above 2^-1021, then an exact one
+    (np.concatenate((_wide(4, 100, 0, 10), _wide(5, 100, -1074, -1060))), 2),
+], ids=["span2000", "span2074", "subnormal", "subnormal-round", "normal-and-tail"])
+def test_exact_parts_over_many_rounds_and_the_subnormal_tail(terms, min_rounds, monkeypatch):
+    rounds = _count_rounds(monkeypatch)
+    parts = _exact_parts(terms)
+    assert parts and parts == _reference_partials(terms)
+    assert len(rounds) >= min_rounds
+
+
+@pytest.mark.parametrize("top, count, fits", [
+    (1.5 * 2.0 ** 1017, None, True),  # 1018 + bitlen(3) = 1020
+    (1.5 * 2.0 ** 1018, None, False),  # 1021
+    (1.5 * 2.0 ** 1009, 1023, True),  # 1010 + bitlen(1023) = 1020
+    (1.5 * 2.0 ** 1009, 1024, False),  # 1021
+])
+def test_exact_parts_overflow_rule_at_its_boundary(top, count, fits):
+    terms = np.array([top, -3.0, 2.0 ** -60])
+    assert _exact_parts(terms, count) == _reference_partials(terms, count)
+    assert (_exact_parts(terms, count) is not None) == fits
+    assert (_split_sum(terms, count) is not None) == fits
 
 
 def _split_ties(head, k):
@@ -577,7 +647,7 @@ def _cancelling(seed, size):
 ], ids=lambda terms: f"{terms.size}terms")
 def test_exact_sum_where_the_certificate_declines_is_fsum(terms):
     # Ties and sums far below their terms leave the rounding to the exact
-    # groups; the certified split sum must not answer.
+    # parts; the certified split sum must not answer.
     part = _split_sum(terms)
     assert part is not None and _certified_sum([part]) is None
     assert _bits(_exact_sum(terms)) == _bits(math.fsum(terms.tolist()))
@@ -667,7 +737,7 @@ def wide_measures(draw, max_size=9):
 
 def _record_certificates(monkeypatch):
     """Per ``interaction`` evaluation from here on, whether the certified
-    split sum answered (True) or the exact groups did (False)."""
+    split sum answered (True) or the exact parts did (False)."""
     answered = []
 
     def certified_sum(parts):
@@ -685,8 +755,8 @@ HALF_HALF = make_measure([0.0, 1.0], [0.5, 0.5])
 @given(wide_measures(), interaction_kernels)
 @example(HALF_HALF, [0.1, 0.2, 0.5])  # mixed: certified
 @example(HALF_HALF, [0, 1, 0, -0.25])  # odd: certified 0
-@example(HALF_HALF, [-0.25, 0, 0.5])  # the terms sum to 0 exactly: groups
-@example(HALF_HALF, [-0.25, 0.5, 0.5])  # the same with an odd part: groups
+@example(HALF_HALF, [-0.25, 0, 0.5])  # the terms sum to 0 exactly: exact parts
+@example(HALF_HALF, [-0.25, 0.5, 0.5])  # the same with an odd part: exact parts
 @settings(max_examples=400, deadline=None)
 def test_interaction_is_fsum_over_the_full_matrix(mu, coeffs):
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
@@ -696,7 +766,7 @@ def test_interaction_is_fsum_over_the_full_matrix(mu, coeffs):
 @pytest.mark.parametrize("gap", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.8, 1.5, 4.2, 4.3, 6.0])
 @pytest.mark.parametrize("n_atoms", [2, 3, 5])
 def test_interaction_near_the_overflow_threshold_is_fsum_or_nan(coeffs, gap, n_atoms):
-    # The largest terms go from below the 2^1020 bound of the exact groups,
+    # The largest terms go from below the 2^1020 bound of the exact parts,
     # counted over all M^2 terms, to past the float range.
     mu = make_measure([k * gap for k in range(n_atoms)], [1 / n_atoms] * n_atoms)
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
@@ -723,7 +793,7 @@ def test_interaction_over_many_pair_blocks_is_fsum_over_the_full_matrix(
 def test_interaction_where_the_certificate_declines_is_fsum_over_the_full_matrix(
         n_atoms, odd, monkeypatch):
     # w(u) = u^2 / 2 + odd * u - Var(mu): the M x M terms sum to about 0,
-    # far below the bound on the split sums' error, so the exact groups
+    # far below the bound on the split sums' error, so the exact parts
     # decide the rounding.
     answered = _record_certificates(monkeypatch)
     mu = _seeded_measure(n_atoms)
