@@ -219,10 +219,17 @@ def _finite_or_null(obj: Any) -> Any:
     return obj
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_text(path, json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n")
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
@@ -236,10 +243,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
         f, sample, tol=cfg.tol, n_min=n_min, n_max=n_max, schedule_policy=cfg.policy,
     )
     out_csv = cfg.output_path or "estimate.csv"
-    with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,g_hat,err_est\n")
-        for x, g, e in zip(est.grid_atoms, est.g_values, est.error_estimates):
-            fh.write(f"{_fmt(x)},{_fmt(g)},{_fmt(e)}\n")
+    _write_text(out_csv, "x,g_hat,err_est\n" + "".join(
+        f"{_fmt(x)},{_fmt(g)},{_fmt(e)}\n"
+        for x, g, e in zip(est.grid_atoms, est.g_values, est.error_estimates)))
     payload = {
         "command": "estimate",
         "functional": dict(cfg.functional_spec),
@@ -265,37 +271,20 @@ def cmd_verify(cfg: RunConfig) -> int:
     level = cfg.level if cfg.level is not None else DEFAULT_VERIFY_LEVEL
     schedule = cfg.policy.for_level(level)
     est = lions_derivative_grid(f, sample, level, schedule)
-
-    checks: list[dict] = []
-    all_passed = True
-
-    structure = check_structure(
-        f, sample, est, directions=DEFAULT_DIRECTIONS, seed=cfg.seed,
-        schedule=schedule,
-    )
-    checks.append(structure.to_dict())
-    all_passed &= structure.status == "pass"
-
-    invariance = check_law_invariance(
-        f, sample, level, schedule=schedule, transforms=DEFAULT_TRANSFORMS,
-        seed=(cfg.seed + 1) % 2 ** 64,
-    )
-    checks.append(invariance.to_dict())
-    all_passed &= invariance.status == "pass"
-
     mu_n = law_of(dyadic_quantize(sample, level))
-    heaviest = int(np.argmax(mu_n.weights))
-    linearity = check_mass_linearity(f, mu_n, heaviest, schedule=schedule)
-    checks.append(linearity.to_dict())
-    all_passed &= linearity.status == "pass"
-
+    checks = [report.to_dict() for report in (
+        check_structure(f, sample, est, directions=DEFAULT_DIRECTIONS, seed=cfg.seed,
+                        schedule=schedule),
+        check_law_invariance(f, sample, est, schedule=schedule,
+                             transforms=DEFAULT_TRANSFORMS, seed=(cfg.seed + 1) % 2 ** 64),
+        check_mass_linearity(f, mu_n, int(np.argmax(mu_n.weights)), schedule=schedule),
+    )]
     try:
-        oracle = check_against_oracle(f, sample, level, schedule=schedule)
-        checks.append(oracle.to_dict())
-        all_passed &= oracle.status == "pass"
+        checks.append(check_against_oracle(f, sample, est, schedule=schedule).to_dict())
     except NoClosedFormError as exc:
         checks.append({"name": "oracle_comparison", "status": "skipped",
                        "reason": str(exc)})
+    all_passed = all(check["status"] != "fail" for check in checks)
 
     payload = {
         "command": "verify",
@@ -304,7 +293,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "level": level,
         "seed": cfg.seed,
         "schedule_policy": cfg.policy.to_dict(),
-        "all_passed": bool(all_passed),
+        "all_passed": all_passed,
         "checks": checks,
     }
     _write_json(cfg.output_path or "verify_report.json", payload)
@@ -317,12 +306,12 @@ def cmd_study(cfg: RunConfig) -> int:
     a, b = cfg.levels if cfg.levels is not None else DEFAULT_STUDY_LEVELS
     rows = convergence_study(f, sample, range(a, b + 1), schedule_policy=cfg.policy)
     out_csv = cfg.output_path or "study.csv"
-    with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,w2_quant,succ_diff,oracle_err\n")
-        for row in rows:
-            succ = "" if row.successive_difference is None else _fmt(row.successive_difference)
-            oerr = "" if row.oracle_error is None else _fmt(row.oracle_error)
-            fh.write(f"{row.level},{_fmt(row.w2_quantization)},{succ},{oerr}\n")
+    lines = ["n,w2_quant,succ_diff,oracle_err\n"]
+    for row in rows:
+        succ = "" if row.successive_difference is None else _fmt(row.successive_difference)
+        oerr = "" if row.oracle_error is None else _fmt(row.oracle_error)
+        lines.append(f"{row.level},{_fmt(row.w2_quantization)},{succ},{oerr}\n")
+    _write_text(out_csv, "".join(lines))
     return EXIT_OK
 
 
@@ -356,17 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"estimate": cmd_estimate, "verify": cmd_verify, "study": cmd_study}
     try:
         cfg = build_config(args)
-    except ConfigError as exc:
+        return commands[cfg.command](cfg)
+    except ConfigError as exc:  # also an output that cannot be written
         print(f"lionsderiv: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        if cfg.command == "estimate":
-            return cmd_estimate(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_study(cfg)
     except (SampleFormatError, MeasureError) as exc:
         print(f"lionsderiv: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

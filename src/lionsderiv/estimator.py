@@ -258,30 +258,25 @@ def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
 def _known_shift_values(f, mu: DiscreteMeasure, indices: np.ndarray,
                         shifts: np.ndarray) -> np.ndarray:
     """f at each one-atom shift of ``mu`` that stays inside its gap, from
-    one call of f's ``shift_evaluator``; NaN where it declines and at the
-    other probes.  Probe (r, j) moves atom ``indices[r]`` by ``shifts[r, j]``.
-
-    Canonical weights depend only on the weights, and an atom moved strictly
-    between its neighbours needs no sorting or merging.  So such a probe's
-    measure, ``_shifted(mu, i, eps)``, is the canonical form of ``mu`` with
-    one atom replaced, on which the evaluator's values are defined.
+    one call of f's ``shift_evaluator`` on ``mu``; NaN where it declines and
+    at the other probes.  Probe (r, j) moves atom ``indices[r]`` by
+    ``shifts[r, j]``.  Such a probe keeps the atoms strictly increasing, so
+    its measure, ``_shifted(mu, i, eps)``, is ``mu`` with one atom moved and
+    its weights as they are: :func:`make_measure` returns a canonical pair
+    unchanged.
     """
     values = np.full(shifts.shape, math.nan)
     factory = getattr(f, "shift_evaluator", None)
     if factory is None:
         return values
-    # Atom indices line up: the atoms of mu are strictly increasing, and its
-    # weights sum to 1 within 1e-12, so renormalizing them cannot round one
-    # to zero.
-    canon = make_measure(mu.atoms, mu.weights)
-    atoms = canon.atoms
+    atoms = mu.atoms
     at = np.broadcast_to(indices[:, None], shifts.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         positions = atoms[at] + shifts + 0.0
     left = np.concatenate(([-math.inf], atoms[:-1]))[at]
     right = np.concatenate((atoms[1:], [math.inf]))[at]
     inside = np.isfinite(positions) & (left < positions) & (positions < right)
-    shift_values = factory(canon) if inside.any() else None
+    shift_values = factory(mu) if inside.any() else None
     if shift_values is not None:
         values[inside] = shift_values(at[inside], positions[inside])
     return values

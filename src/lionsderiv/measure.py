@@ -38,6 +38,7 @@ caveats to everything this module represents.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -136,8 +137,9 @@ class DiscreteMeasure:
     """Canonical finitely supported probability measure on the real line.
 
     ``atoms`` are strictly increasing, ``weights`` are positive and sum to 1
-    within 1e-12.  Build instances through :func:`make_measure`, which sorts,
-    merges exactly coincident atoms, drops zero weights and renormalizes.
+    within 1e-12; construction checks exactly this.  Build instances through
+    :func:`make_measure`, which returns a pair that meets these invariants as
+    it is and canonicalizes any other.
     """
 
     atoms: np.ndarray
@@ -207,9 +209,11 @@ def as_level(level: QuantizationLevel | int) -> QuantizationLevel:
 def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMeasure:
     """Build the canonical measure from raw (atom, weight) pairs.
 
-    Sorts atoms, merges exact duplicates by adding weights, drops zero-weight
-    atoms, and renormalizes.  Weight sums farther than 1e-9 from 1 are
-    rejected rather than silently rescaled.
+    A pair that meets the invariants of :class:`DiscreteMeasure` comes back
+    as it is, so canonicalizing is idempotent.  Any other is renormalized,
+    sorted, its exact duplicates merged by adding weights and its zero
+    weights dropped, and renormalized again.  Weight sums farther than 1e-9
+    from 1 are rejected rather than silently rescaled.
 
     Parameters
     ----------
@@ -235,6 +239,11 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
         raise MeasureError(
             f"need matching nonzero lengths, got {a.size} atoms and {w.size} weights"
         )
+    # DiscreteMeasure decides whether the pair is canonical already.  Most
+    # inputs are unsorted, and the order test spares them the attempt.
+    if np.all(a[1:] > a[:-1]):
+        with suppress(MeasureError):
+            return DiscreteMeasure(a, w)
     if np.any(w < 0):
         bad = int(np.flatnonzero(w < 0)[0])
         raise MeasureError(f"weights[{bad}] is negative: {w[bad]!r}")
@@ -534,7 +543,7 @@ def read_sample_file(path: str) -> EmpiricalSample:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # also a file that is not UTF-8 text
         raise SampleFormatError(f"cannot read sample file: {exc}", path=str(path))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

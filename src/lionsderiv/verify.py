@@ -31,6 +31,7 @@ from .estimator import (
     ProbeFailureError,
     SchedulePolicy,
     StepSchedule,
+    _check_index,
     _level_grids,
     _on_cells,
     directional_derivative,
@@ -43,10 +44,8 @@ from .functionals import Functional, PotentialSpec
 from .measure import (
     DiscreteMeasure,
     EmpiricalSample,
-    QuantizationLevel,
     _exact_sum,
     _weighted_l2,
-    as_level,
     dyadic_quantize,
     law_of,
     wasserstein2,
@@ -276,24 +275,24 @@ def _estimate_gap(a: DerivativeEstimate, b: DerivativeEstimate) -> float:
 
 
 def check_law_invariance(f: Functional, sample: EmpiricalSample,
-                         level: QuantizationLevel | int,
+                         est: DerivativeEstimate,
                          schedule: StepSchedule | None = None,
                          transforms: int = 20,
                          seed: int = 0) -> VerificationReport:
     """Derivative grids under law-preserving sample transforms, bit for bit.
 
-    Applies seeded random permutations and exact weight halvings at random
-    indices; the estimate must be bitwise identical because evaluation is
-    measure-level.  The zero tolerance is by design: the check guards the
-    representation against sample-order-dependent logic creeping in, and its
-    triviality for the current design is recorded in the report.
+    ``est`` is the sample's grid, from :func:`lions_derivative_grid` at
+    ``est.level`` under ``schedule``.  Seeded random permutations and exact
+    weight halvings at random indices must give grids bitwise equal to it,
+    because evaluation is measure-level.  The zero tolerance is by design:
+    the check guards the representation against sample-order-dependent
+    logic creeping in, and its triviality for the current design is
+    recorded in the report.
     """
     transforms = int(transforms)
     if transforms < 1:
         raise ValueError("need at least one transform")
-    level = as_level(level)
-    schedule = schedule if schedule is not None else StepSchedule.for_level(level)
-    base = lions_derivative_grid(f, sample, level, schedule)
+    schedule = schedule if schedule is not None else StepSchedule.for_level(est.level)
     rng = np.random.default_rng(seed)
     plans = [(rng.permutation(sample.size), int(rng.integers(sample.size)))
              for _ in range(transforms)]
@@ -302,8 +301,8 @@ def check_law_invariance(f: Functional, sample: EmpiricalSample,
         perm, split_at = plans[idx]
         permuted = EmpiricalSample(sample.values[perm], sample.weights[perm])
         split = _halve_weight(sample, split_at)
-        return (_estimate_gap(base, lions_derivative_grid(f, permuted, level, schedule)),
-                _estimate_gap(base, lions_derivative_grid(f, split, level, schedule)))
+        return (_estimate_gap(est, lions_derivative_grid(f, permuted, est.level, schedule)),
+                _estimate_gap(est, lions_derivative_grid(f, split, est.level, schedule)))
 
     cases = []
     worst = 0.0
@@ -316,7 +315,7 @@ def check_law_invariance(f: Functional, sample: EmpiricalSample,
                       "max_abs_difference": gap_s})
         worst = max(worst, gap_p, gap_s)
     details = {
-        "level": level.n,
+        "level": est.level.n,
         "transforms_per_kind": transforms,
         "seed": int(seed),
         "note": "bitwise equality is a designed consequence of measure-level "
@@ -334,13 +333,15 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
     maximum relative fit residual against 1e-6 and (b) the fitted slope
     against the atom derivative within max(1e-6, 4x combined error
     estimates).  Discrepancy is the worst criterion ratio; tolerance 1.  A
-    failed probe reads as NaN, so the check fails.
+    failed probe reads as NaN, so the check fails.  Raises
+    :class:`EstimatorError` where ``i`` is not an atom index of ``mu``.
     """
+    i = _check_index(mu, i)
     schedule = schedule if schedule is not None else StepSchedule()
     fractions = tuple(float(q) for q in fractions)
     if not fractions:
         raise ValueError("need at least one mass fraction")
-    p = float(mu.weights[int(i)])
+    p = float(mu.weights[i])
     masses = [q * p for q in fractions]
     try:
         values = [partial_mass_perturbation(f, mu, i, q, schedule) for q in fractions]
@@ -364,8 +365,8 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
         for q, m, v in zip(fractions, masses, values)
     ]
     details = {
-        "atom_index": int(i),
-        "atom": float(mu.atoms[int(i)]),
+        "atom_index": i,
+        "atom": float(mu.atoms[i]),
         "atom_weight": p,
         "fitted_slope": float(slope),
         "atom_derivative": float(g_hat),
@@ -411,20 +412,20 @@ def _oracle_tolerance(f: Functional, schedule: StepSchedule,
 
 
 def check_against_oracle(f: Functional, sample: EmpiricalSample,
-                         level: QuantizationLevel | int,
+                         est: DerivativeEstimate,
                          schedule: StepSchedule | None = None) -> VerificationReport:
     """Estimated grid vs the closed form evaluated at the quantized law.
 
+    ``est`` is the sample's grid, from :func:`lions_derivative_grid` at
+    ``est.level`` under ``schedule``, which also sets the truncation bound.
     Evaluating the closed form at the quantized law isolates the
     finite-difference error from the quantization error.  Reports the sup
     gap over grid atoms (the headline discrepancy) and the L2(law) gap.
     Raises :class:`NoClosedFormError` when the functional has none.
     """
-    level = as_level(level)
-    mu_n = law_of(dyadic_quantize(sample, level))
+    mu_n = law_of(dyadic_quantize(sample, est.level))
     oracle = f.analytic_g(mu_n, mu_n.atoms)
-    schedule = schedule if schedule is not None else StepSchedule.for_level(level)
-    est = lions_derivative_grid(f, sample, level, schedule)
+    schedule = schedule if schedule is not None else StepSchedule.for_level(est.level)
     gaps = np.abs(est.g_values - oracle)
     sup = float(np.max(gaps)) if gaps.size else 0.0
     l2 = _weighted_l2(mu_n.weights, gaps)
@@ -436,7 +437,7 @@ def check_against_oracle(f: Functional, sample: EmpiricalSample,
                               est.error_estimates)
     ]
     details = {
-        "level": level.n,
+        "level": est.level.n,
         "sup_error": sup,
         "l2_law_error": l2,
         "tolerance_rule": rule,

@@ -233,6 +233,26 @@ def test_missing_input_file_exits_1(workdir, capsys):
     assert code == 1
 
 
+def test_input_that_is_not_utf8_exits_1_with_one_line(workdir):
+    (workdir / "s.csv").write_bytes(b"0.5\n\xff\xfe0.25\n")
+    proc = run_cli("estimate", "--input", "s.csv", "--functional", '{"name":"variance"}')
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("lionsderiv: input error: s.csv: cannot read sample file")
+
+
+@pytest.mark.parametrize("out", ["missing/out.csv", "a_directory"])
+@pytest.mark.parametrize("command", ["estimate", "verify", "study"])
+def test_an_output_that_cannot_be_written_exits_2_with_one_line(workdir, command, out):
+    inp = write(workdir / "s.csv", BALANCED)
+    (workdir / "a_directory").mkdir()
+    proc = run_cli(command, "--input", inp, "--functional", '{"name":"variance"}',
+                   "--out", out)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"lionsderiv: config error: cannot write {out}: ")
+
+
 def test_negative_tol_exits_2(workdir, capsys):
     inp = write(workdir / "s.csv", BALANCED)
     code = main(["estimate", "--input", inp, "--functional",

@@ -17,6 +17,7 @@ import pytest
 from lionsderiv import (
     DerivativeEstimate,
     Direction,
+    DiscreteMeasure,
     EstimatorError,
     Functional,
     ProbeFailureError,
@@ -39,7 +40,7 @@ from lionsderiv import (
     refine_until_converged,
 )
 
-from conftest import random_measure, random_sample
+from conftest import random_measure, random_sample, recorded_law
 
 HALF_HALF = make_measure([0.0, 1.0], [0.5, 0.5])
 VARIANCE = make_variance()
@@ -110,6 +111,32 @@ def test_one_sided_quotients_match_hand_expansion():
         assert q == pytest.approx((2.0 + eps) / 2.0, abs=1e-12)
     value, err = lions_derivative_at_atom(VARIANCE, HALF_HALF, 1, sched)
     assert value == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("f", [VARIANCE, make_linear([0.0, 1.0, 1.0]),
+                               make_interaction([0.1, 0.2, 0.5])])
+def test_one_sided_quotients_use_the_laws_own_weights(f):
+    # The probes inside their gaps, valued by the shift evaluator, are f at
+    # the law's atoms with one moved and its weights as they are, bit for
+    # bit, as is the base f(mu).
+    mu = recorded_law()
+    sched = StepSchedule(eps0=1e-3, mode="one_sided")
+    base = f(mu)
+    checked = 0
+    for i in range(mu.n_atoms):
+        steps = sched.steps(at=mu.atoms[i].item())
+        if i + 1 < mu.n_atoms and mu.atoms[i] + steps[0] >= mu.atoms[i + 1]:
+            continue  # the probes cross the right neighbour and merge
+        expected = []
+        for eps in steps:
+            atoms = np.array(mu.atoms)
+            atoms[i] += eps
+            expected.append((f(DiscreteMeasure(atoms, mu.weights)) - base)
+                            / (eps * mu.weights[i]))
+        quots = atom_shift_quotients(f, mu, i, sched)
+        assert quots.tobytes() == np.array(expected).tobytes()
+        checked += 1
+    assert checked == 3
 
 
 def test_central_square_potential_at_dirac_is_exactly_zero():
@@ -223,7 +250,7 @@ def test_grid_canonicalizes_per_grid_not_per_probe(monkeypatch):
         canonicalizations.clear()
         est = lions_derivative_grid(counted(f), sample, 8)
         assert est.n_atoms > 100
-        assert len(canonicalizations) == 2  # the law, then its canonical form
+        assert len(canonicalizations) == 1  # the law
         assert full_evaluations == []  # every probe was incremental
 
 

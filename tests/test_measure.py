@@ -31,7 +31,7 @@ from lionsderiv import (
 
 from lionsderiv.measure import _cumulative, _weighted_l2
 
-from conftest import random_measure, random_sample
+from conftest import random_measure, random_sample, recorded_law
 
 
 def w2_by_linear_program(mu, nu):
@@ -143,14 +143,9 @@ def test_law_of_permutation_invariant_bitwise():
     assert np.array_equal(a.weights, b.weights)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: make_measure normalizes "
-                   "before and after merging, so it is not idempotent")
 def test_canonicalizing_a_canonical_law_changes_no_bit():
     # A law a tier-1 run of test_law_of_is_canonical_and_idempotent reached.
-    mu = law_of(make_sample(
-        [-3.6125202763957054, 1e-300, -2.5118746374153664, 0.0, -2.5118746374153664],
-        [0.26982862786261597, 0.10247867870538772, 0.28504644620228475,
-         0.139263633252574, 0.20338261397713767]))
+    mu = recorded_law()
     again = make_measure(mu.atoms, mu.weights)
     assert mu.atoms.tobytes() == again.atoms.tobytes()
     assert mu.weights.tobytes() == again.weights.tobytes()
@@ -381,6 +376,13 @@ def test_read_sample_bad_number_names_line(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("0.5\nabc\n")
     with pytest.raises(SampleFormatError, match=r"s\.csv:2.*abc"):
+        read_sample_file(str(p))
+
+
+def test_read_sample_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_bytes(b"0.5\n\xff\xfe0.25\n")
+    with pytest.raises(SampleFormatError, match=r"s\.csv: cannot read sample file"):
         read_sample_file(str(p))
 
 

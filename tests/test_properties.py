@@ -126,8 +126,8 @@ def test_law_of_is_canonical_and_idempotent(sample):
     if mu.n_atoms > 1:
         assert np.all(np.diff(mu.atoms) > 0)
     again = make_measure(mu.atoms, mu.weights)
-    assert np.array_equal(mu.atoms, again.atoms)
-    assert np.array_equal(mu.weights, again.weights)
+    assert mu.atoms.tobytes() == again.atoms.tobytes()
+    assert mu.weights.tobytes() == again.weights.tobytes()
 
 
 @given(measures(), measures(), measures())
@@ -457,7 +457,12 @@ def test_vectorised_g_tilde_matches_loop(sample, n, xs):
 
 
 def _loop_make_measure(atoms, weights):
-    """make_measure's former merge loop: sorted atoms grouped one by one."""
+    """make_measure's former merge loop: sorted atoms grouped one by one.
+    Strictly increasing atoms with positive weights summing to 1 within
+    1e-12 are canonical already and come back as they are."""
+    if (np.all(atoms[1:] > atoms[:-1]) and np.all(weights > 0)
+            and abs(math.fsum(weights.tolist()) - 1.0) <= 1e-12):
+        return atoms, weights
     w = weights / math.fsum(weights.tolist())
     order = np.argsort(atoms, kind="stable")
     a, w = atoms[order], w[order]

@@ -13,6 +13,7 @@ import pytest
 
 from lionsderiv import (
     DiscreteMeasure,
+    EstimatorError,
     NoClosedFormError,
     Functional,
     StepSchedule,
@@ -116,7 +117,8 @@ def test_structure_discrepancy_survives_an_overflowing_g_norm():
 def test_law_invariance_bitwise_zero():
     rng = np.random.default_rng(3)
     sample = random_sample(rng, size=64, weighted=True)
-    report = check_law_invariance(VARIANCE, sample, 4, transforms=10, seed=0)
+    est = lions_derivative_grid(VARIANCE, sample, 4)
+    report = check_law_invariance(VARIANCE, sample, est, transforms=10, seed=0)
     assert report.status == "pass"
     assert report.discrepancy == 0.0
     assert report.tolerance == 0.0
@@ -127,9 +129,10 @@ def test_law_invariance_bitwise_zero():
 @pytest.mark.parametrize("transforms", [0, -5])
 def test_law_invariance_needs_at_least_one_transform(transforms):
     # no transform used to report a pass over zero cases
+    sample = make_sample([0.25, 0.75])
+    est = lions_derivative_grid(VARIANCE, sample, 2)
     with pytest.raises(ValueError, match="at least one transform"):
-        check_law_invariance(VARIANCE, make_sample([0.25, 0.75]), 2,
-                             transforms=transforms)
+        check_law_invariance(VARIANCE, sample, est, transforms=transforms)
 
 
 def test_law_invariance_sorted_copy():
@@ -185,6 +188,13 @@ def test_mass_linearity_all_builtins_default_schedule(f):
     assert report.details["fit_residual_relative"] <= 1e-6
 
 
+@pytest.mark.parametrize("i", [2, -1])
+def test_mass_linearity_rejects_an_atom_index_out_of_range(i):
+    # 2 used to reach numpy's IndexError before any check
+    with pytest.raises(EstimatorError, match=f"atom index {i} out of range"):
+        check_mass_linearity(VARIANCE, HALF_HALF, i)
+
+
 def test_mass_linearity_fails_with_nan_when_a_probe_fails():
     mu = law_of(make_sample([1e308, -1e308, 1e308]))
     report = check_mass_linearity(VARIANCE, mu, 1)
@@ -208,7 +218,7 @@ def test_mass_linearity_fails_under_abusive_schedule():
 def test_oracle_variance_random_sample():
     rng = np.random.default_rng(12)
     sample = random_sample(rng, size=256)
-    report = check_against_oracle(VARIANCE, sample, 4)
+    report = check_against_oracle(VARIANCE, sample, lions_derivative_grid(VARIANCE, sample, 4))
     assert report.status == "pass"
     assert report.details["sup_error"] <= 1e-8
 
@@ -217,7 +227,7 @@ def test_oracle_cubic_taylor_bound():
     f = make_linear([0.0, 0.0, 0.0, 1.0])
     rng = np.random.default_rng(14)
     sample = random_sample(rng, size=64, lo=-1.0, hi=1.0)
-    report = check_against_oracle(f, sample, 3)
+    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 3))
     assert report.status == "pass"
     sched = StepSchedule.for_level(3)
     eps_min = sched.steps(at=1.0)[-1]
@@ -228,7 +238,8 @@ def test_oracle_cubic_taylor_bound():
 def test_oracle_mean_square_constant_g():
     rng = np.random.default_rng(15)
     sample = random_sample(rng, size=128)
-    report = check_against_oracle(make_mean_square(), sample, 4)
+    f = make_mean_square()
+    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 4))
     assert report.status == "pass"
     estimates = [case["estimated"] for case in report.cases]
     assert max(estimates) - min(estimates) <= 1e-10
@@ -236,8 +247,10 @@ def test_oracle_mean_square_constant_g():
 
 def test_oracle_requires_closed_form():
     f = Functional(name="opaque", params={}, evaluate=lambda mu: 0.0)
+    sample = make_sample([0.0, 1.0])
+    est = lions_derivative_grid(f, sample, 2)
     with pytest.raises(NoClosedFormError):
-        check_against_oracle(f, make_sample([0.0, 1.0]), 2)
+        check_against_oracle(f, sample, est)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +348,10 @@ def _on_cpus(monkeypatch, cpus, run):
 
 
 def _both_reports(f, sample, level, schedule, seed):
-    est = lions_derivative_grid(VARIANCE, sample, level, schedule)
+    est = lions_derivative_grid(f, sample, level, schedule)
     return [json.dumps(r.to_dict()) for r in (
         check_structure(f, sample, est, directions=7, seed=seed, schedule=schedule),
-        check_law_invariance(f, sample, level, schedule=schedule, transforms=5, seed=seed),
+        check_law_invariance(f, sample, est, schedule=schedule, transforms=5, seed=seed),
     )]
 
 
@@ -464,11 +477,12 @@ def test_structure_rejects_a_wrong_derivative(name, misfit):
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_oracle_rejects_a_wrong_closed_form(name):
     f = BUILTINS[name]
-    assert check_against_oracle(f, CONTROL_SAMPLE, 5).status == "pass"
+    est = lions_derivative_grid(f, CONTROL_SAMPLE, 5)
+    assert check_against_oracle(f, CONTROL_SAMPLE, est).status == "pass"
     true_g = f.analytic_derivative
     wrong = dataclasses.replace(
         f, analytic_derivative=lambda mu, xs: true_g(mu, xs) * (1.0 + 1e-4))
-    _fails_finitely(check_against_oracle(wrong, CONTROL_SAMPLE, 5))
+    _fails_finitely(check_against_oracle(wrong, CONTROL_SAMPLE, est))
 
 
 def _left_to_right_merge(atoms, weights):
@@ -485,9 +499,11 @@ def _left_to_right_merge(atoms, weights):
 
 def test_law_invariance_rejects_an_order_dependent_merge(monkeypatch):
     sample = random_sample(np.random.default_rng(3), size=200, weighted=True)
-    assert check_law_invariance(VARIANCE, sample, 3, transforms=4).status == "pass"
+    est = lions_derivative_grid(VARIANCE, sample, 3)
+    assert check_law_invariance(VARIANCE, sample, est, transforms=4).status == "pass"
     monkeypatch.setattr(measure, "make_measure", _left_to_right_merge)
-    _fails_finitely(check_law_invariance(VARIANCE, sample, 3, transforms=4))
+    est = lions_derivative_grid(VARIANCE, sample, 3)
+    _fails_finitely(check_law_invariance(VARIANCE, sample, est, transforms=4))
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +515,9 @@ def test_reports_serialize_to_json():
     est = lions_derivative_grid(VARIANCE, sample, 2)
     for report in (
         check_structure(VARIANCE, sample, est, directions=2, seed=0),
-        check_law_invariance(VARIANCE, sample, 2, transforms=2, seed=0),
+        check_law_invariance(VARIANCE, sample, est, transforms=2, seed=0),
         check_mass_linearity(VARIANCE, HALF_HALF, 1),
-        check_against_oracle(VARIANCE, sample, 2),
+        check_against_oracle(VARIANCE, sample, est),
     ):
         payload = json.dumps(report.to_dict())
         back = json.loads(payload)
