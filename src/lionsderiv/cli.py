@@ -271,20 +271,37 @@ def cmd_verify(cfg: RunConfig) -> int:
     level = cfg.level if cfg.level is not None else DEFAULT_VERIFY_LEVEL
     schedule = cfg.policy.for_level(level)
     est = lions_derivative_grid(f, sample, level, schedule)
+
+    checks: list[dict] = []
+    all_passed = True
+
+    structure = check_structure(
+        f, sample, est, directions=DEFAULT_DIRECTIONS, seed=cfg.seed,
+        schedule=schedule,
+    )
+    checks.append(structure.to_dict())
+    all_passed &= structure.status == "pass"
+
+    invariance = check_law_invariance(
+        f, sample, est, schedule, transforms=DEFAULT_TRANSFORMS,
+        seed=(cfg.seed + 1) % 2 ** 64,
+    )
+    checks.append(invariance.to_dict())
+    all_passed &= invariance.status == "pass"
+
     mu_n = law_of(dyadic_quantize(sample, level))
-    checks = [report.to_dict() for report in (
-        check_structure(f, sample, est, directions=DEFAULT_DIRECTIONS, seed=cfg.seed,
-                        schedule=schedule),
-        check_law_invariance(f, sample, est, schedule=schedule,
-                             transforms=DEFAULT_TRANSFORMS, seed=(cfg.seed + 1) % 2 ** 64),
-        check_mass_linearity(f, mu_n, int(np.argmax(mu_n.weights)), schedule=schedule),
-    )]
+    heaviest = int(np.argmax(mu_n.weights))
+    linearity = check_mass_linearity(f, mu_n, heaviest, schedule=schedule)
+    checks.append(linearity.to_dict())
+    all_passed &= linearity.status == "pass"
+
     try:
-        checks.append(check_against_oracle(f, sample, est, schedule=schedule).to_dict())
+        oracle = check_against_oracle(f, sample, est, schedule)
+        checks.append(oracle.to_dict())
+        all_passed &= oracle.status == "pass"
     except NoClosedFormError as exc:
         checks.append({"name": "oracle_comparison", "status": "skipped",
                        "reason": str(exc)})
-    all_passed = all(check["status"] != "fail" for check in checks)
 
     payload = {
         "command": "verify",
@@ -293,7 +310,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "level": level,
         "seed": cfg.seed,
         "schedule_policy": cfg.policy.to_dict(),
-        "all_passed": all_passed,
+        "all_passed": bool(all_passed),
         "checks": checks,
     }
     _write_json(cfg.output_path or "verify_report.json", payload)
@@ -345,10 +362,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    commands = {"estimate": cmd_estimate, "verify": cmd_verify, "study": cmd_study}
     try:
         cfg = build_config(args)
-        return commands[cfg.command](cfg)
+        if cfg.command == "estimate":
+            return cmd_estimate(cfg)
+        if cfg.command == "verify":
+            return cmd_verify(cfg)
+        return cmd_study(cfg)
     except ConfigError as exc:  # also an output that cannot be written
         print(f"lionsderiv: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

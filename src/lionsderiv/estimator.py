@@ -260,10 +260,8 @@ def _known_shift_values(f, mu: DiscreteMeasure, indices: np.ndarray,
     """f at each one-atom shift of ``mu`` that stays inside its gap, from
     one call of f's ``shift_evaluator`` on ``mu``; NaN where it declines and
     at the other probes.  Probe (r, j) moves atom ``indices[r]`` by
-    ``shifts[r, j]``.  Such a probe keeps the atoms strictly increasing, so
-    its measure, ``_shifted(mu, i, eps)``, is ``mu`` with one atom moved and
-    its weights as they are: :func:`make_measure` returns a canonical pair
-    unchanged.
+    ``shifts[r, j]``; inside its gap its measure, ``_shifted(mu, i, eps)``,
+    is ``mu`` with that atom moved and the same weights.
     """
     values = np.full(shifts.shape, math.nan)
     factory = getattr(f, "shift_evaluator", None)

@@ -38,7 +38,6 @@ caveats to everything this module represents.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -62,6 +61,9 @@ __all__ = [
 # Inputs whose weight sum strays farther than this from 1 are rejected
 # instead of silently renormalized.
 WEIGHT_SUM_TOLERANCE = 1e-9
+
+# Weights of a measure or sample sum to 1 within this.
+CANONICAL_SUM_TOLERANCE = 1e-12
 
 # Finest dyadic level: 2.0 ** n overflows above it.
 MAX_LEVEL = 1023
@@ -98,7 +100,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _renormalize(weights: np.ndarray, what: str) -> np.ndarray:
+def _total_mass(weights: np.ndarray, what: str) -> float:
     total = _exact_sum(weights)
     if math.isnan(total):  # the sum of these finite, non-negative weights overflows
         total = math.inf
@@ -109,7 +111,7 @@ def _renormalize(weights: np.ndarray, what: str) -> np.ndarray:
             f"{what} sum to {total!r}, farther than {WEIGHT_SUM_TOLERANCE} from 1; "
             "rescale the input explicitly"
         )
-    return weights / total
+    return total
 
 
 def _set_weighted(obj, name: str) -> np.ndarray:
@@ -127,8 +129,8 @@ def _set_weighted(obj, name: str) -> np.ndarray:
     if not np.all(weights > 0):
         raise MeasureError("weights must all be positive")
     total = _exact_sum(weights)
-    if not math.isfinite(total) or abs(total - 1.0) > 1e-12:
-        raise MeasureError(f"weights must sum to 1 within 1e-12, got {total!r}")
+    if not math.isfinite(total) or abs(total - 1.0) > CANONICAL_SUM_TOLERANCE:
+        raise MeasureError(f"weights must sum to 1 within {CANONICAL_SUM_TOLERANCE}, got {total!r}")
     return points
 
 
@@ -137,9 +139,8 @@ class DiscreteMeasure:
     """Canonical finitely supported probability measure on the real line.
 
     ``atoms`` are strictly increasing, ``weights`` are positive and sum to 1
-    within 1e-12; construction checks exactly this.  Build instances through
-    :func:`make_measure`, which returns a pair that meets these invariants as
-    it is and canonicalizes any other.
+    within 1e-12.  Build instances through :func:`make_measure`, which
+    returns a pair that meets these invariants as it is.
     """
 
     atoms: np.ndarray
@@ -209,11 +210,11 @@ def as_level(level: QuantizationLevel | int) -> QuantizationLevel:
 def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMeasure:
     """Build the canonical measure from raw (atom, weight) pairs.
 
-    A pair that meets the invariants of :class:`DiscreteMeasure` comes back
-    as it is, so canonicalizing is idempotent.  Any other is renormalized,
-    sorted, its exact duplicates merged by adding weights and its zero
-    weights dropped, and renormalized again.  Weight sums farther than 1e-9
-    from 1 are rejected rather than silently rescaled.
+    Sorts atoms, merges exact duplicates by adding weights exactly, drops
+    zero-weight atoms, and renormalizes only where the merged weights'
+    exact sum differs from the input's or lies farther than 1e-12 from 1.
+    So canonicalizing is idempotent.  Weight sums farther than 1e-9 from 1
+    are rejected rather than silently rescaled.
 
     Parameters
     ----------
@@ -239,15 +240,10 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
         raise MeasureError(
             f"need matching nonzero lengths, got {a.size} atoms and {w.size} weights"
         )
-    # DiscreteMeasure decides whether the pair is canonical already.  Most
-    # inputs are unsorted, and the order test spares them the attempt.
-    if np.all(a[1:] > a[:-1]):
-        with suppress(MeasureError):
-            return DiscreteMeasure(a, w)
     if np.any(w < 0):
         bad = int(np.flatnonzero(w < 0)[0])
         raise MeasureError(f"weights[{bad}] is negative: {w[bad]!r}")
-    w = _renormalize(w, "weights")
+    total = _total_mass(w, "weights")
 
     order = np.argsort(a, kind="stable")
     a = a[order]
@@ -266,9 +262,10 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
     keep = masses > 0.0
     atoms_arr, weights_arr = a[starts[keep]], masses[keep]
 
-    # normalized once more after merging: canonical weights keep these bits
-    total = _exact_sum(weights_arr)
-    return DiscreteMeasure(atoms_arr, weights_arr / total)
+    merged_total = _exact_sum(weights_arr)
+    if merged_total != total or abs(merged_total - 1.0) > CANONICAL_SUM_TOLERANCE:
+        weights_arr = weights_arr / merged_total
+    return DiscreteMeasure(atoms_arr, weights_arr)
 
 
 def make_sample(values: Sequence[float],
@@ -288,8 +285,7 @@ def make_sample(values: Sequence[float],
         if np.any(w <= 0):
             bad = int(np.flatnonzero(w <= 0)[0])
             raise MeasureError(f"weights[{bad}] must be positive, got {w[bad]!r}")
-    w = _renormalize(w, "weights")
-    return EmpiricalSample(v, w)
+    return EmpiricalSample(v, w / _total_mass(w, "weights"))
 
 
 def law_of(sample: EmpiricalSample) -> DiscreteMeasure:

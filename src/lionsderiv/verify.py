@@ -275,24 +275,21 @@ def _estimate_gap(a: DerivativeEstimate, b: DerivativeEstimate) -> float:
 
 
 def check_law_invariance(f: Functional, sample: EmpiricalSample,
-                         est: DerivativeEstimate,
-                         schedule: StepSchedule | None = None,
+                         est: DerivativeEstimate, schedule: StepSchedule,
                          transforms: int = 20,
                          seed: int = 0) -> VerificationReport:
     """Derivative grids under law-preserving sample transforms, bit for bit.
 
-    ``est`` is the sample's grid, from :func:`lions_derivative_grid` at
-    ``est.level`` under ``schedule``.  Seeded random permutations and exact
-    weight halvings at random indices must give grids bitwise equal to it,
-    because evaluation is measure-level.  The zero tolerance is by design:
-    the check guards the representation against sample-order-dependent
-    logic creeping in, and its triviality for the current design is
-    recorded in the report.
+    ``est`` is the sample's grid at ``est.level`` under ``schedule``.  Seeded
+    random permutations and exact weight halvings at random indices must
+    give grids bitwise equal to it, because evaluation is measure-level.
+    The zero tolerance is by design: the check guards the representation
+    against sample-order-dependent logic creeping in, and its triviality
+    for the current design is recorded in the report.
     """
     transforms = int(transforms)
     if transforms < 1:
         raise ValueError("need at least one transform")
-    schedule = schedule if schedule is not None else StepSchedule.for_level(est.level)
     rng = np.random.default_rng(seed)
     plans = [(rng.permutation(sample.size), int(rng.integers(sample.size)))
              for _ in range(transforms)]
@@ -413,11 +410,11 @@ def _oracle_tolerance(f: Functional, schedule: StepSchedule,
 
 def check_against_oracle(f: Functional, sample: EmpiricalSample,
                          est: DerivativeEstimate,
-                         schedule: StepSchedule | None = None) -> VerificationReport:
+                         schedule: StepSchedule) -> VerificationReport:
     """Estimated grid vs the closed form evaluated at the quantized law.
 
-    ``est`` is the sample's grid, from :func:`lions_derivative_grid` at
-    ``est.level`` under ``schedule``, which also sets the truncation bound.
+    ``est`` is the sample's grid at ``est.level`` under ``schedule``, which
+    also sets the truncation bound.
     Evaluating the closed form at the quantized law isolates the
     finite-difference error from the quantization error.  Reports the sup
     gap over grid atoms (the headline discrepancy) and the L2(law) gap.
@@ -425,7 +422,6 @@ def check_against_oracle(f: Functional, sample: EmpiricalSample,
     """
     mu_n = law_of(dyadic_quantize(sample, est.level))
     oracle = f.analytic_g(mu_n, mu_n.atoms)
-    schedule = schedule if schedule is not None else StepSchedule.for_level(est.level)
     gaps = np.abs(est.g_values - oracle)
     sup = float(np.max(gaps)) if gaps.size else 0.0
     l2 = _weighted_l2(mu_n.weights, gaps)

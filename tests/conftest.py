@@ -35,3 +35,11 @@ def recorded_law():
         [-3.6125202763957054, 1e-300, -2.5118746374153664, 0.0, -2.5118746374153664],
         [0.26982862786261597, 0.10247867870538772, 0.28504644620228475,
          0.139263633252574, 0.20338261397713767]))
+
+
+# Distinct, increasing values whose weights, once make_sample has normalized
+# them, sum to 0.9999999999999999: dividing by that sum again moves bits.
+SORTED_RENORMALIZABLE = (
+    [0.0, 0.25, 0.5, 0.75, 1.0],
+    [0.11216350947158527, 0.16251246261216354, 0.1041874376869392,
+     0.14556331006979065, 0.4755732801595215])

@@ -22,6 +22,8 @@ from lionsderiv import (
 )
 from lionsderiv.cli import main
 
+from conftest import SORTED_RENORMALIZABLE
+
 BALANCED = "".join(["0.0\n", "1.0\n"] * 8)
 
 
@@ -142,6 +144,17 @@ def test_verify_variance_defaults_pass(workdir):
     assert names == ["structure_identity", "law_invariance",
                      "mass_linearity", "oracle_comparison"]
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_verify_passes_on_a_sorted_sample_with_renormalizable_weights(workdir):
+    # The file's pairs are canonical as they stand; its permuted and
+    # weight-halved copies must still give the same law, bit for bit.
+    inp = write(workdir / "s.csv", "".join(
+        f"{v!r},{w!r}\n" for v, w in zip(*SORTED_RENORMALIZABLE)))
+    code = main(["verify", "--input", inp, "--functional", '{"name":"variance"}'])
+    report = json.loads((workdir / "verify_report.json").read_text())
+    assert [c["status"] for c in report["checks"]] == ["pass"] * 4
+    assert code == 0
 
 
 def test_verify_skips_oracle_without_closed_form(workdir, monkeypatch):

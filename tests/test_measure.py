@@ -17,6 +17,7 @@ from scipy.optimize import linprog
 
 from lionsderiv import (
     DiscreteMeasure,
+    EmpiricalSample,
     MeasureError,
     QuantizationLevel,
     SampleFormatError,
@@ -31,7 +32,7 @@ from lionsderiv import (
 
 from lionsderiv.measure import _cumulative, _weighted_l2
 
-from conftest import random_measure, random_sample, recorded_law
+from conftest import SORTED_RENORMALIZABLE, random_measure, random_sample, recorded_law
 
 
 def w2_by_linear_program(mu, nu):
@@ -149,6 +150,22 @@ def test_canonicalizing_a_canonical_law_changes_no_bit():
     again = make_measure(mu.atoms, mu.weights)
     assert mu.atoms.tobytes() == again.atoms.tobytes()
     assert mu.weights.tobytes() == again.weights.tobytes()
+
+
+def test_law_of_ignores_order_and_halvings_of_a_sorted_sample():
+    # Its values are distinct and increasing, so the pairs as given already
+    # meet DiscreteMeasure's invariants; reordered or split, they do not.
+    sample = make_sample(*SORTED_RENORMALIZABLE)
+    reversed_sample = EmpiricalSample(sample.values[::-1], sample.weights[::-1])
+    halved = np.append(sample.weights, sample.weights[1] * 0.5)
+    halved[1] *= 0.5
+    split = EmpiricalSample(np.append(sample.values, sample.values[1]), halved)
+    base = law_of(sample)
+    assert base.weights.tobytes() == sample.weights.tobytes()
+    for other in (reversed_sample, split):
+        law = law_of(other)
+        assert law.atoms.tobytes() == base.atoms.tobytes()
+        assert law.weights.tobytes() == base.weights.tobytes()
 
 
 def test_sample_validation():

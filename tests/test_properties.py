@@ -38,6 +38,8 @@ from lionsderiv.functionals import _resums
 from lionsderiv.measure import (_certified_sum, _exact_parts, _exact_sum, _split_sum,
                                _weighted_l2)
 
+from conftest import SORTED_RENORMALIZABLE
+
 finite_values = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 raw_weights = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
 levels = st.integers(0, 12)
@@ -93,6 +95,7 @@ _RENORMALIZABLE = make_sample(
 
 @given(samples(), levels, st.randoms(use_true_random=False))
 @example(_RENORMALIZABLE, 0, random.Random(0))
+@example(make_sample(*SORTED_RENORMALIZABLE), 2, random.Random(0))
 @settings(max_examples=100, deadline=None)
 def test_quantized_law_depends_only_on_law(sample, n, rnd):
     base = law_of(dyadic_quantize(sample, n))
@@ -458,14 +461,11 @@ def test_vectorised_g_tilde_matches_loop(sample, n, xs):
 
 def _loop_make_measure(atoms, weights):
     """make_measure's former merge loop: sorted atoms grouped one by one.
-    Strictly increasing atoms with positive weights summing to 1 within
-    1e-12 are canonical already and come back as they are."""
-    if (np.all(atoms[1:] > atoms[:-1]) and np.all(weights > 0)
-            and abs(math.fsum(weights.tolist()) - 1.0) <= 1e-12):
-        return atoms, weights
-    w = weights / math.fsum(weights.tolist())
+    The merged weights are divided by their sum unless it equals the
+    input's and lies within 1e-12 of 1."""
+    total = math.fsum(weights.tolist())
     order = np.argsort(atoms, kind="stable")
-    a, w = atoms[order], w[order]
+    a, w = atoms[order], weights[order]
     merged_atoms, merged_weights = [], []
     i = 0
     while i < a.size:
@@ -478,7 +478,10 @@ def _loop_make_measure(atoms, weights):
             merged_weights.append(mass)
         i = j
     mw = np.array(merged_weights)
-    return np.array(merged_atoms), mw / math.fsum(mw.tolist())
+    merged_total = math.fsum(merged_weights)
+    if merged_total != total or abs(merged_total - 1.0) > 1e-12:
+        mw = mw / merged_total
+    return np.array(merged_atoms), mw
 
 
 @given(st.lists(st.tuples(st.integers(-4, 4), st.one_of(st.just(0.0), raw_weights)),

@@ -118,7 +118,8 @@ def test_law_invariance_bitwise_zero():
     rng = np.random.default_rng(3)
     sample = random_sample(rng, size=64, weighted=True)
     est = lions_derivative_grid(VARIANCE, sample, 4)
-    report = check_law_invariance(VARIANCE, sample, est, transforms=10, seed=0)
+    report = check_law_invariance(VARIANCE, sample, est, StepSchedule.for_level(4),
+                                  transforms=10, seed=0)
     assert report.status == "pass"
     assert report.discrepancy == 0.0
     assert report.tolerance == 0.0
@@ -132,7 +133,8 @@ def test_law_invariance_needs_at_least_one_transform(transforms):
     sample = make_sample([0.25, 0.75])
     est = lions_derivative_grid(VARIANCE, sample, 2)
     with pytest.raises(ValueError, match="at least one transform"):
-        check_law_invariance(VARIANCE, sample, est, transforms=transforms)
+        check_law_invariance(VARIANCE, sample, est, StepSchedule.for_level(2),
+                             transforms=transforms)
 
 
 def test_law_invariance_sorted_copy():
@@ -218,7 +220,8 @@ def test_mass_linearity_fails_under_abusive_schedule():
 def test_oracle_variance_random_sample():
     rng = np.random.default_rng(12)
     sample = random_sample(rng, size=256)
-    report = check_against_oracle(VARIANCE, sample, lions_derivative_grid(VARIANCE, sample, 4))
+    report = check_against_oracle(VARIANCE, sample, lions_derivative_grid(VARIANCE, sample, 4),
+                                  StepSchedule.for_level(4))
     assert report.status == "pass"
     assert report.details["sup_error"] <= 1e-8
 
@@ -227,9 +230,9 @@ def test_oracle_cubic_taylor_bound():
     f = make_linear([0.0, 0.0, 0.0, 1.0])
     rng = np.random.default_rng(14)
     sample = random_sample(rng, size=64, lo=-1.0, hi=1.0)
-    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 3))
-    assert report.status == "pass"
     sched = StepSchedule.for_level(3)
+    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 3), sched)
+    assert report.status == "pass"
     eps_min = sched.steps(at=1.0)[-1]
     assert report.tolerance <= 1.5 * eps_min ** 2 * 1.2  # phi''' = 6, bound ~ eps^2
     assert report.details["sup_error"] <= report.tolerance
@@ -239,7 +242,8 @@ def test_oracle_mean_square_constant_g():
     rng = np.random.default_rng(15)
     sample = random_sample(rng, size=128)
     f = make_mean_square()
-    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 4))
+    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 4),
+                                  StepSchedule.for_level(4))
     assert report.status == "pass"
     estimates = [case["estimated"] for case in report.cases]
     assert max(estimates) - min(estimates) <= 1e-10
@@ -250,7 +254,7 @@ def test_oracle_requires_closed_form():
     sample = make_sample([0.0, 1.0])
     est = lions_derivative_grid(f, sample, 2)
     with pytest.raises(NoClosedFormError):
-        check_against_oracle(f, sample, est)
+        check_against_oracle(f, sample, est, StepSchedule.for_level(2))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +355,7 @@ def _both_reports(f, sample, level, schedule, seed):
     est = lions_derivative_grid(f, sample, level, schedule)
     return [json.dumps(r.to_dict()) for r in (
         check_structure(f, sample, est, directions=7, seed=seed, schedule=schedule),
-        check_law_invariance(f, sample, est, schedule=schedule, transforms=5, seed=seed),
+        check_law_invariance(f, sample, est, schedule, transforms=5, seed=seed),
     )]
 
 
@@ -478,11 +482,11 @@ def test_structure_rejects_a_wrong_derivative(name, misfit):
 def test_oracle_rejects_a_wrong_closed_form(name):
     f = BUILTINS[name]
     est = lions_derivative_grid(f, CONTROL_SAMPLE, 5)
-    assert check_against_oracle(f, CONTROL_SAMPLE, est).status == "pass"
+    assert check_against_oracle(f, CONTROL_SAMPLE, est, StepSchedule.for_level(5)).status == "pass"
     true_g = f.analytic_derivative
     wrong = dataclasses.replace(
         f, analytic_derivative=lambda mu, xs: true_g(mu, xs) * (1.0 + 1e-4))
-    _fails_finitely(check_against_oracle(wrong, CONTROL_SAMPLE, est))
+    _fails_finitely(check_against_oracle(wrong, CONTROL_SAMPLE, est, StepSchedule.for_level(5)))
 
 
 def _left_to_right_merge(atoms, weights):
@@ -500,10 +504,11 @@ def _left_to_right_merge(atoms, weights):
 def test_law_invariance_rejects_an_order_dependent_merge(monkeypatch):
     sample = random_sample(np.random.default_rng(3), size=200, weighted=True)
     est = lions_derivative_grid(VARIANCE, sample, 3)
-    assert check_law_invariance(VARIANCE, sample, est, transforms=4).status == "pass"
+    schedule = StepSchedule.for_level(3)
+    assert check_law_invariance(VARIANCE, sample, est, schedule, transforms=4).status == "pass"
     monkeypatch.setattr(measure, "make_measure", _left_to_right_merge)
     est = lions_derivative_grid(VARIANCE, sample, 3)
-    _fails_finitely(check_law_invariance(VARIANCE, sample, est, transforms=4))
+    _fails_finitely(check_law_invariance(VARIANCE, sample, est, schedule, transforms=4))
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +520,10 @@ def test_reports_serialize_to_json():
     est = lions_derivative_grid(VARIANCE, sample, 2)
     for report in (
         check_structure(VARIANCE, sample, est, directions=2, seed=0),
-        check_law_invariance(VARIANCE, sample, est, transforms=2, seed=0),
+        check_law_invariance(VARIANCE, sample, est, StepSchedule.for_level(2), transforms=2,
+                             seed=0),
         check_mass_linearity(VARIANCE, HALF_HALF, 1),
-        check_against_oracle(VARIANCE, sample, est),
+        check_against_oracle(VARIANCE, sample, est, StepSchedule.for_level(2)),
     ):
         payload = json.dumps(report.to_dict())
         back = json.loads(payload)
