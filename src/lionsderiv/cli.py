@@ -38,8 +38,6 @@ from .measure import (
     MeasureError,
     QuantizationLevel,
     SampleFormatError,
-    dyadic_quantize,
-    law_of,
     read_sample_file,
 )
 from .verify import (
@@ -269,34 +267,31 @@ def cmd_verify(cfg: RunConfig) -> int:
     f = cfg.functional
     sample = read_sample_file(cfg.input_path)
     level = cfg.level if cfg.level is not None else DEFAULT_VERIFY_LEVEL
-    schedule = cfg.policy.for_level(level)
-    est = lions_derivative_grid(f, sample, level, schedule)
+    est = lions_derivative_grid(f, sample, level, cfg.policy.for_level(level))
 
     checks: list[dict] = []
     all_passed = True
 
     structure = check_structure(
         f, sample, est, directions=DEFAULT_DIRECTIONS, seed=cfg.seed,
-        schedule=schedule,
     )
     checks.append(structure.to_dict())
     all_passed &= structure.status == "pass"
 
     invariance = check_law_invariance(
-        f, sample, est, schedule, transforms=DEFAULT_TRANSFORMS,
+        f, sample, est, transforms=DEFAULT_TRANSFORMS,
         seed=(cfg.seed + 1) % 2 ** 64,
     )
     checks.append(invariance.to_dict())
     all_passed &= invariance.status == "pass"
 
-    mu_n = law_of(dyadic_quantize(sample, level))
-    heaviest = int(np.argmax(mu_n.weights))
-    linearity = check_mass_linearity(f, mu_n, heaviest, schedule=schedule)
+    heaviest = int(np.argmax(est.law.weights))
+    linearity = check_mass_linearity(f, est.law, heaviest, schedule=est.schedule)
     checks.append(linearity.to_dict())
     all_passed &= linearity.status == "pass"
 
     try:
-        oracle = check_against_oracle(f, sample, est, schedule)
+        oracle = check_against_oracle(f, est)
         checks.append(oracle.to_dict())
         all_passed &= oracle.status == "pass"
     except NoClosedFormError as exc:

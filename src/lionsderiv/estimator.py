@@ -174,48 +174,54 @@ class Direction:
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """Derivative values on the positive-mass atoms of a quantized law.
+    """Derivative values on the positive-mass atoms ``grid_atoms`` of the
+    quantized law ``law``, computed under the step schedule ``schedule``.
 
     Zero-mass grid cells are excluded here; the piecewise-constant extension
     (:func:`g_tilde_values`) is 0 on them, so the L2(law) statements
     stay meaningful and no quotient ever divides by a zero weight.  Atoms
     whose probes failed, or whose extrapolation is not finite, are listed in
-    ``failed_atoms``; their entries are NaN.
+    ``failed_atoms``; both their entries are NaN.
     """
 
     level: QuantizationLevel
-    grid_atoms: np.ndarray
+    law: DiscreteMeasure
+    schedule: StepSchedule
     g_values: np.ndarray
     error_estimates: np.ndarray
-    failed_atoms: tuple[int, ...] = ()
 
     def __post_init__(self):
-        atoms = np.asarray(self.grid_atoms, dtype=float) + 0.0
         gvals = np.asarray(self.g_values, dtype=float) + 0.0
         errs = np.asarray(self.error_estimates, dtype=float) + 0.0
-        for arr in (atoms, gvals, errs):
+        for arr in (gvals, errs):
             arr.setflags(write=False)
-        object.__setattr__(self, "grid_atoms", atoms)
         object.__setattr__(self, "g_values", gvals)
         object.__setattr__(self, "error_estimates", errs)
+        atoms = self.law.atoms
         if not (atoms.size == gvals.size == errs.size):
-            raise EstimatorError("grid_atoms, g_values, error_estimates lengths differ")
-        if not np.all(atoms[1:] > atoms[:-1]):
-            raise EstimatorError("grid_atoms must be strictly increasing")
+            raise EstimatorError("law atoms, g_values, error_estimates lengths differ")
         floored, finite = _dyadic_floor(atoms, self.level.n)
         off_grid = atoms[~finite | (floored != atoms)]
         if off_grid.size:
             raise EstimatorError(
                 f"atom {off_grid[0]!r} is not on the level-{self.level.n} dyadic grid"
             )
-        ok = np.ones(errs.size, dtype=bool)
-        ok[list(self.failed_atoms)] = False
-        if np.any(errs[ok] < 0) or np.any(~np.isfinite(errs[ok])):
-            raise EstimatorError("error estimates must be finite and nonnegative")
+        failed = np.isnan(gvals)
+        if not np.where(failed, np.isnan(errs), np.isfinite(errs) & (errs >= 0)).all():
+            raise EstimatorError("error estimates must be NaN where g_values are, "
+                                 "elsewhere finite and nonnegative")
+
+    @property
+    def grid_atoms(self) -> np.ndarray:
+        return self.law.atoms
 
     @property
     def n_atoms(self) -> int:
-        return int(self.grid_atoms.size)
+        return self.law.n_atoms
+
+    @property
+    def failed_atoms(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(np.isnan(self.g_values)).tolist())
 
 
 @dataclass(frozen=True)
@@ -471,12 +477,13 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
                           schedule: StepSchedule | None = None) -> DerivativeEstimate:
     """Quantize the sample, form its law, differentiate at every grid atom.
 
-    All atoms are probed in one pass over arrays.  An atom whose probe
-    returns a non-finite value, or whose extrapolated value or error is not
-    finite, is flagged (NaN entries plus ``failed_atoms``), never a global
-    abort; so is an atom whose steps the cancellation floor raised until
-    they reach a neighbouring atom.  An exception raised by the functional
-    itself propagates.
+    The estimate keeps the law it probed and the schedule, which defaults
+    to ``StepSchedule.for_level(level)``.  All atoms are probed in one pass
+    over arrays.  An atom whose probe returns a non-finite value, or whose
+    extrapolated value or error is not finite, is flagged (NaN entries,
+    listed in ``failed_atoms``), never a global abort; so is an atom whose
+    steps the cancellation floor raised until they reach a neighbouring
+    atom.  An exception raised by the functional itself propagates.
     """
     level = as_level(level)
     schedule = schedule if schedule is not None else StepSchedule.for_level(level)
@@ -491,10 +498,10 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     err[indices[ok]] = error[ok]
     return DerivativeEstimate(
         level=level,
-        grid_atoms=mu.atoms,
+        law=mu,
+        schedule=schedule,
         g_values=g,
         error_estimates=err,
-        failed_atoms=tuple(np.flatnonzero(np.isnan(g)).tolist()),
     )
 
 

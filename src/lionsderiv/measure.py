@@ -362,7 +362,9 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     quantile functions are constant, so the integral of the squared quantile
     difference is a finite sum.  Symmetric, and zero iff the measures are
     equal.  A segment ends at each distinct breakpoint u, where each law
-    sits on its first atom whose cumulative weight reaches u.
+    sits on its first atom whose cumulative weight reaches u.  Only a
+    distance past the float range is inf: where a gap or a square overflows,
+    the sum is redone on the atoms scaled by 2^-k to below 2^510.
     """
     cmu = _cumulative(mu.weights)
     cnu = _cumulative(nu.weights)
@@ -370,8 +372,13 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     seg = np.diff(uppers, prepend=0.0)
     kept = seg > 0.0
     uppers = uppers[kept]
-    gaps = mu.atoms[np.searchsorted(cmu, uppers)] - nu.atoms[np.searchsorted(cnu, uppers)]
-    return _weighted_l2(seg[kept], gaps)
+    x, y = mu.atoms[np.searchsorted(cmu, uppers)], nu.atoms[np.searchsorted(cnu, uppers)]
+    with np.errstate(over="ignore"):
+        distance = _weighted_l2(seg[kept], x - y)
+        if distance == math.inf:
+            k = math.frexp(max(np.abs(x).max(), np.abs(y).max()))[1] - 510
+            distance = np.ldexp(_weighted_l2(seg[kept], np.ldexp(x, -k) - np.ldexp(y, -k)), k)
+    return float(distance)
 
 
 def _weighted_l2(weights: np.ndarray, d: np.ndarray) -> float:

@@ -9,7 +9,8 @@ maximum criterion/tolerance ratio against a tolerance of 1.
 
 Tolerances are tied to the scheme's own error model: structural comparisons
 use max(1e-6, 4x the reported extrapolation error estimates), oracle
-comparisons use functional-specific truncation bounds.
+comparisons use functional-specific truncation bounds.  A check given a
+:class:`DerivativeEstimate` reads the law and schedule it was computed at.
 
 ``check_structure`` and ``check_law_invariance`` run their independent cases
 on every usable CPU (see ``_map_tasks``); their reports are the same bytes on
@@ -186,21 +187,20 @@ def _fork_share(task: Callable[[int], Sequence[float]],
 
 def check_structure(f: Functional, sample: EmpiricalSample,
                     est: DerivativeEstimate, directions: int = 32,
-                    seed: int = 0,
-                    schedule: StepSchedule | None = None) -> VerificationReport:
+                    seed: int = 0) -> VerificationReport:
     """Directional derivative of the lift vs the weighted pairing with g-tilde.
 
     Both sides are evaluated at the sample quantized to the estimate's level
     (a no-op for grid-supported samples): at finite resolution that is the
     identity the estimate actually claims, and the comparison then isolates
-    scheme error from quantization error.  Directions are seeded standard
-    normal displacements, one fresh draw per case.  A failed probe reads as
-    NaN, so the check fails.
+    scheme error from quantization error.  The directional derivatives use
+    the estimate's schedule.  Directions are seeded standard normal
+    displacements, one fresh draw per case.  A failed probe reads as NaN,
+    so the check fails.
     """
     directions = int(directions)
     if directions < 1:
         raise ValueError("need at least one direction")
-    schedule = schedule if schedule is not None else StepSchedule.for_level(est.level)
     qs = dyadic_quantize(sample, est.level)
     gvals = g_tilde_values(est, qs.values)
     evals = _on_cells(est, est.error_estimates, qs.values)
@@ -212,7 +212,7 @@ def check_structure(f: Functional, sample: EmpiricalSample,
 
     def directional(idx: int) -> tuple[float]:
         try:
-            return (directional_derivative(f, qs, Direction(etas[idx]), schedule),)
+            return (directional_derivative(f, qs, Direction(etas[idx]), est.schedule),)
         except ProbeFailureError:
             return (math.nan,)
 
@@ -245,7 +245,7 @@ def check_structure(f: Functional, sample: EmpiricalSample,
         "directions": directions,
         "seed": int(seed),
         "direction_generator": "standard_normal, sequential draws",
-        "schedule": asdict(schedule),
+        "schedule": asdict(est.schedule),
     }
     return _finish("structure_identity", worst, tolerance, cases, details)
 
@@ -275,14 +275,14 @@ def _estimate_gap(a: DerivativeEstimate, b: DerivativeEstimate) -> float:
 
 
 def check_law_invariance(f: Functional, sample: EmpiricalSample,
-                         est: DerivativeEstimate, schedule: StepSchedule,
-                         transforms: int = 20,
+                         est: DerivativeEstimate, transforms: int = 20,
                          seed: int = 0) -> VerificationReport:
     """Derivative grids under law-preserving sample transforms, bit for bit.
 
-    ``est`` is the sample's grid at ``est.level`` under ``schedule``.  Seeded
-    random permutations and exact weight halvings at random indices must
-    give grids bitwise equal to it, because evaluation is measure-level.
+    ``est`` is the sample's grid.  Seeded random permutations and exact
+    weight halvings at random indices, differentiated at ``est.level`` under
+    ``est.schedule``, must give grids bitwise equal to it, because
+    evaluation is measure-level.
     The zero tolerance is by design: the check guards the representation
     against sample-order-dependent logic creeping in, and its triviality
     for the current design is recorded in the report.
@@ -298,8 +298,8 @@ def check_law_invariance(f: Functional, sample: EmpiricalSample,
         perm, split_at = plans[idx]
         permuted = EmpiricalSample(sample.values[perm], sample.weights[perm])
         split = _halve_weight(sample, split_at)
-        return (_estimate_gap(est, lions_derivative_grid(f, permuted, est.level, schedule)),
-                _estimate_gap(est, lions_derivative_grid(f, split, est.level, schedule)))
+        return tuple(_estimate_gap(est, lions_derivative_grid(f, s, est.level, est.schedule))
+                     for s in (permuted, split))
 
     cases = []
     worst = 0.0
@@ -345,8 +345,8 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
         g_hat, g_err = lions_derivative_at_atom(f, mu, i, schedule)
     except ProbeFailureError:
         values, g_hat, g_err = [math.nan] * len(fractions), math.nan, math.nan
-    slope = (_exact_sum(np.multiply(values, masses))
-             / _exact_sum(np.multiply(masses, masses)))
+    squares = _exact_sum(np.multiply(masses, masses))  # 0 where the masses underflow
+    slope = _exact_sum(np.multiply(values, masses)) / squares if squares else math.nan
     scale = max(max(abs(v) for v in values), _TINY)
     residual = max(abs(v - slope * m) for v, m in zip(values, masses)) / scale
 
@@ -377,10 +377,8 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
     return _finish("mass_linearity", discrepancy, 1.0, cases, details)
 
 
-def _oracle_tolerance(f: Functional, schedule: StepSchedule,
-                      atoms: np.ndarray,
-                      error_estimates: np.ndarray) -> tuple[float, str]:
-    """Functional-specific truncation bound for the oracle comparison."""
+def _oracle_tolerance(f: Functional, est: DerivativeEstimate) -> tuple[float, str]:
+    """Functional-specific truncation bound for the oracle comparison of ``est``."""
     coeffs = None
     if f.name == "linear":
         coeffs = f.params.get("phi")
@@ -391,41 +389,37 @@ def _oracle_tolerance(f: Functional, schedule: StepSchedule,
         # Central or one-sided quotients of quadratics are exact in eps;
         # extrapolation leaves roundoff only.
         return 1e-8, "scheme-exact quadratic family"
-    if f.name == "linear" and schedule.mode == "central" and coeffs is not None:
+    if f.name == "linear" and est.schedule.mode == "central" and coeffs is not None:
         d3 = PotentialSpec(tuple(coeffs))
         for _ in range(3):
             d3 = d3.derivative() if d3 is not None else None
         # A third derivative whose coefficients overflow bounds nothing.
         if d3 is not None:
-            lo = float(atoms.min())
-            hi = float(atoms.max())
-            steps = schedule.steps(at=max(abs(lo), abs(hi), 1.0))
+            lo = float(est.grid_atoms.min())
+            hi = float(est.grid_atoms.max())
+            steps = est.schedule.steps(at=max(abs(lo), abs(hi), 1.0))
             bound = (1.5 * steps[-1] ** 2
                      * d3.max_abs_on(lo - steps[0], hi + steps[0]) / 6.0)
             return max(bound, 1e-12), "central Taylor remainder bound, 50% slack"
-    finite = error_estimates[np.isfinite(error_estimates)]
+    finite = est.error_estimates[np.isfinite(est.error_estimates)]
     fallback = max(1e-6, 4.0 * float(finite.max(initial=0.0)))
     return fallback, "generic: max(1e-6, 4x reported error estimates)"
 
 
-def check_against_oracle(f: Functional, sample: EmpiricalSample,
-                         est: DerivativeEstimate,
-                         schedule: StepSchedule) -> VerificationReport:
-    """Estimated grid vs the closed form evaluated at the quantized law.
+def check_against_oracle(f: Functional, est: DerivativeEstimate) -> VerificationReport:
+    """Estimated grid vs the closed form evaluated at the estimate's law.
 
-    ``est`` is the sample's grid at ``est.level`` under ``schedule``, which
-    also sets the truncation bound.
-    Evaluating the closed form at the quantized law isolates the
-    finite-difference error from the quantization error.  Reports the sup
-    gap over grid atoms (the headline discrepancy) and the L2(law) gap.
-    Raises :class:`NoClosedFormError` when the functional has none.
+    Evaluating the closed form at the quantized law ``est.law`` isolates the
+    finite-difference error from the quantization error; ``est.schedule``
+    sets the truncation bound.  Reports the sup gap over grid atoms (the
+    headline discrepancy) and the L2(law) gap.  Raises
+    :class:`NoClosedFormError` when the functional has none.
     """
-    mu_n = law_of(dyadic_quantize(sample, est.level))
-    oracle = f.analytic_g(mu_n, mu_n.atoms)
+    oracle = f.analytic_g(est.law, est.grid_atoms)
     gaps = np.abs(est.g_values - oracle)
     sup = float(np.max(gaps)) if gaps.size else 0.0
-    l2 = _weighted_l2(mu_n.weights, gaps)
-    tolerance, rule = _oracle_tolerance(f, schedule, mu_n.atoms, est.error_estimates)
+    l2 = _weighted_l2(est.law.weights, gaps)
+    tolerance, rule = _oracle_tolerance(f, est)
     cases = [
         {"atom": float(x), "estimated": float(g), "oracle": float(o),
          "error_estimate": float(e)}
@@ -437,7 +431,7 @@ def check_against_oracle(f: Functional, sample: EmpiricalSample,
         "sup_error": sup,
         "l2_law_error": l2,
         "tolerance_rule": rule,
-        "schedule": asdict(schedule),
+        "schedule": asdict(est.schedule),
     }
     return _finish("oracle_comparison", sup, tolerance, cases, details)
 
@@ -474,7 +468,7 @@ def convergence_study(f: Functional, sample: EmpiricalSample,
     rows: list[StudyRow] = []
     for est, g, succ in _level_grids(f, sample, levels, policy):
         n = est.level.n
-        w2 = wasserstein2(base_law, law_of(dyadic_quantize(sample, n)))
+        w2 = wasserstein2(base_law, est.law)
         oerr = (None if oracle_at_values is None
                 else _weighted_l2(sample.weights, g - oracle_at_values))
         rows.append(StudyRow(level=n, w2_quantization=float(w2),

@@ -121,8 +121,7 @@ def test_criterion_05_law_invariance_bitwise():
     rng = np.random.default_rng(505)
     sample = random_sample(rng, size=256, weighted=True)
     est = lions_derivative_grid(VARIANCE, sample, 4)
-    report = check_law_invariance(VARIANCE, sample, est, StepSchedule.for_level(4),
-                                  transforms=20, seed=506)
+    report = check_law_invariance(VARIANCE, sample, est, transforms=20, seed=506)
     n_perm = sum(1 for c in report.cases if c["kind"] == "permutation")
     n_split = sum(1 for c in report.cases if c["kind"] == "weight_split")
     ok = (report.status == "pass" and report.discrepancy == 0.0

@@ -222,6 +222,55 @@ def test_study_reversed_levels_exit_2(workdir, capsys):
 
 
 # ---------------------------------------------------------------------------
+# work per command: the estimate carries the law it was computed at
+# ---------------------------------------------------------------------------
+
+GOLDEN_SAMPLE = str(Path(__file__).resolve().parent / "data" / "golden_sample.csv")
+
+
+def _count_calls(monkeypatch, home, name):
+    """A list that grows by one at each call of ``home.name``, from
+    whichever module of the package makes it."""
+    import lionsderiv
+    from lionsderiv import cli, estimator, measure, verify
+
+    calls = []
+    original = getattr(home, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (lionsderiv, measure, estimator, verify, cli):
+        if module.__dict__.get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_default_verify_quantizes_once_per_grid_and_once_for_the_structure(
+        workdir, monkeypatch):
+    from lionsderiv import estimator, measure
+
+    # one CPU: calls made in forked children would not be counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    quantized = _count_calls(monkeypatch, measure, "dyadic_quantize")
+    grids = _count_calls(monkeypatch, estimator, "lions_derivative_grid")
+    code = main(["verify", "--input", GOLDEN_SAMPLE, "--functional", '{"name":"variance"}'])
+    assert code == 0
+    # the grid, 20 permuted and 20 weight-halved copies, and check_structure
+    assert (len(quantized), len(grids)) == (42, 41)
+
+
+def test_default_study_quantizes_once_per_level(workdir, monkeypatch):
+    from lionsderiv import measure
+
+    quantized = _count_calls(monkeypatch, measure, "dyadic_quantize")
+    code = main(["study", "--input", GOLDEN_SAMPLE, "--functional", '{"name":"variance"}'])
+    assert code == 0
+    assert len(quantized) == 7
+
+
+# ---------------------------------------------------------------------------
 # exit-code partition: input and config errors
 # ---------------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from lionsderiv import (
     StepSchedule,
     atom_shift_quotients,
     directional_derivative,
+    dyadic_quantize,
     g_tilde_values,
     law_of,
     lions_derivative_at_atom,
@@ -368,21 +369,61 @@ def test_grid_flags_atoms_whose_floored_steps_reach_a_neighbour():
     assert merged.g_values.tolist() == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
+def _estimate(atoms, g_values, error_estimates, level=1):
+    return DerivativeEstimate(
+        level=QuantizationLevel(level),
+        law=make_measure(atoms, np.full(len(atoms), 1.0 / len(atoms))),
+        schedule=StepSchedule.for_level(level),
+        g_values=np.array(g_values),
+        error_estimates=np.array(error_estimates),
+    )
+
+
 def test_estimate_invariant_validation():
-    with pytest.raises(EstimatorError):
-        DerivativeEstimate(
-            level=QuantizationLevel(1),
-            grid_atoms=np.array([0.3]),  # not on the level-1 grid
-            g_values=np.array([1.0]),
-            error_estimates=np.array([0.0]),
-        )
-    with pytest.raises(EstimatorError):
-        DerivativeEstimate(
-            level=QuantizationLevel(1),
-            grid_atoms=np.array([0.5]),
-            g_values=np.array([1.0]),
-            error_estimates=np.array([-1.0]),
-        )
+    with pytest.raises(EstimatorError, match="not on the level-1 dyadic grid"):
+        _estimate([0.3], [1.0], [0.0])
+    with pytest.raises(EstimatorError, match="elsewhere finite and nonnegative"):
+        _estimate([0.5], [1.0], [-1.0])
+    with pytest.raises(EstimatorError, match="lengths differ"):
+        _estimate([0.0, 0.5], [1.0], [0.0])
+
+
+@pytest.mark.parametrize("g_values, error_estimates", [
+    ([math.nan], [0.0]),  # used to pass as an atom that did not fail
+    ([1.0], [math.nan]),
+    ([math.nan, 1.0], [math.nan, math.nan]),
+])
+def test_estimate_rejects_nan_patterns_that_differ(g_values, error_estimates):
+    with pytest.raises(EstimatorError, match="NaN where g_values are"):
+        _estimate([0.0, 0.5][:len(g_values)], g_values, error_estimates)
+
+
+def test_failed_atoms_are_the_nan_entries():
+    est = _estimate([0.0, 0.5, 1.0], [math.nan, 2.0, math.nan], [math.nan, 0.0, math.nan])
+    assert est.failed_atoms == (0, 2)
+    assert est.n_atoms == 3
+    assert est.grid_atoms is est.law.atoms
+
+
+@pytest.mark.parametrize("failed", [(3,), (-1,)])
+def test_failed_atoms_cannot_be_given(failed):
+    # (3,) on one atom used to raise numpy's IndexError, (-1,) to wrap
+    # to the last atom
+    with pytest.raises(TypeError):
+        DerivativeEstimate(QuantizationLevel(1), make_measure([0.5], [1.0]),
+                           StepSchedule.for_level(1), np.array([1.0]),
+                           np.array([0.0]), failed_atoms=failed)
+
+
+def test_grid_records_the_law_and_schedule_it_probed():
+    sample = random_sample(np.random.default_rng(8), size=40, weighted=True)
+    est = lions_derivative_grid(VARIANCE, sample, 3)
+    law = law_of(dyadic_quantize(sample, 3))
+    assert est.law.atoms.tobytes() == law.atoms.tobytes()
+    assert est.law.weights.tobytes() == law.weights.tobytes()
+    assert est.schedule == StepSchedule.for_level(3)
+    one_sided = StepSchedule(eps0=0.01, mode="one_sided")
+    assert lions_derivative_grid(VARIANCE, sample, 3, one_sided).schedule is one_sided
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +431,7 @@ def test_estimate_invariant_validation():
 # ---------------------------------------------------------------------------
 
 def test_g_tilde_cell_membership():
-    est = DerivativeEstimate(
-        level=QuantizationLevel(1),
-        grid_atoms=np.array([0.0, 1.0]),
-        g_values=np.array([-1.0, 1.0]),
-        error_estimates=np.array([0.0, 0.0]),
-    )
+    est = _estimate([0.0, 1.0], [-1.0, 1.0], [0.0, 0.0])
     # inside [0, 0.5), a zero-mass cell, exactly at a grid atom, and a
     # zero-mass cell below the grid
     assert g_tilde_values(est, [0.3, 0.5, 1.0, -0.2]).tolist() == [-1.0, 0.0, 1.0, 0.0]

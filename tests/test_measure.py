@@ -9,6 +9,7 @@ Oracle checklist:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,37 @@ def test_w2_symmetric():
     mu = random_measure(rng)
     nu = random_measure(rng)
     assert wasserstein2(mu, nu) == pytest.approx(wasserstein2(nu, mu), rel=1e-14)
+
+
+def test_w2_survives_a_gap_past_the_float_range():
+    # the gap 2e308 used to overflow, with a numpy warning, and give inf
+    mu = make_measure([-1e308, 1e308], [0.5, 0.5])
+    nu = make_measure([1e308], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((mu, nu), (nu, mu)):
+            assert wasserstein2(a, b) == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+
+
+def test_w2_survives_a_squared_gap_past_the_float_range():
+    # 1e200 squared used to overflow and give inf
+    assert wasserstein2(make_measure([0.0], [1.0]), make_measure([1e200], [1.0])) == 1e200
+
+
+def test_w2_past_the_float_range_is_inf():
+    # the true distance, 2e308, is not a float
+    assert wasserstein2(make_measure([-1e308], [1.0]), make_measure([1e308], [1.0])) == math.inf
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_w2_of_laws_scaled_past_the_float_range_scales_exactly(seed):
+    # 2^j times the atoms: the squares overflow, and the distance is 2^j
+    # times the unscaled one, bit for bit
+    rng = np.random.default_rng(seed)
+    mu, nu = random_measure(rng), random_measure(rng)
+    j = 1020
+    big_mu, big_nu = (make_measure(np.ldexp(m.atoms, j), m.weights) for m in (mu, nu))
+    assert _bits(wasserstein2(big_mu, big_nu)) == _bits(math.ldexp(wasserstein2(mu, nu), j))
 
 
 # ---------------------------------------------------------------------------

@@ -451,7 +451,7 @@ def test_vectorised_quantize_matches_loop(values, n):
 @settings(max_examples=200, deadline=None)
 def test_vectorised_g_tilde_matches_loop(sample, n, xs):
     mu = law_of(dyadic_quantize(sample, n))
-    est = DerivativeEstimate(QuantizationLevel(n), mu.atoms,
+    est = DerivativeEstimate(QuantizationLevel(n), mu, StepSchedule(),
                              np.arange(1.0, mu.n_atoms + 1.0), np.zeros(mu.n_atoms))
     points = list(sample.values) + xs
     assert _bits(g_tilde_values(est, points)) == _bits(_loop_g_tilde(est, points))

@@ -118,8 +118,7 @@ def test_law_invariance_bitwise_zero():
     rng = np.random.default_rng(3)
     sample = random_sample(rng, size=64, weighted=True)
     est = lions_derivative_grid(VARIANCE, sample, 4)
-    report = check_law_invariance(VARIANCE, sample, est, StepSchedule.for_level(4),
-                                  transforms=10, seed=0)
+    report = check_law_invariance(VARIANCE, sample, est, transforms=10, seed=0)
     assert report.status == "pass"
     assert report.discrepancy == 0.0
     assert report.tolerance == 0.0
@@ -133,8 +132,22 @@ def test_law_invariance_needs_at_least_one_transform(transforms):
     sample = make_sample([0.25, 0.75])
     est = lions_derivative_grid(VARIANCE, sample, 2)
     with pytest.raises(ValueError, match="at least one transform"):
-        check_law_invariance(VARIANCE, sample, est, StepSchedule.for_level(2),
-                             transforms=transforms)
+        check_law_invariance(VARIANCE, sample, est, transforms=transforms)
+
+
+def test_checks_use_the_schedule_the_estimate_was_built_under():
+    # no schedule argument: a check that rebuilt grids under the level's
+    # default central schedule would see a gap to this one-sided estimate
+    sample = random_sample(np.random.default_rng(4), size=48, weighted=True)
+    est = lions_derivative_grid(VARIANCE, sample, 4,
+                                StepSchedule.for_level(4, mode="one_sided"))
+    invariance = check_law_invariance(VARIANCE, sample, est, transforms=3)
+    assert invariance.status == "pass" and invariance.discrepancy == 0.0
+    structure = check_structure(VARIANCE, sample, est, directions=4)
+    assert structure.details["schedule"] == dataclasses.asdict(est.schedule)
+    assert structure.details["schedule"]["mode"] == "one_sided"
+    oracle = check_against_oracle(VARIANCE, est)
+    assert oracle.details["schedule"] == dataclasses.asdict(est.schedule)
 
 
 def test_law_invariance_sorted_copy():
@@ -204,6 +217,14 @@ def test_mass_linearity_fails_with_nan_when_a_probe_fails():
     assert math.isnan(report.details["atom_derivative"])
 
 
+def test_mass_linearity_fails_with_nan_when_the_squared_masses_underflow():
+    # the moved masses square to 0, which used to raise ZeroDivisionError
+    mu = law_of(make_sample([0.1, 0.7]))
+    report = check_mass_linearity(VARIANCE, mu, 0, fractions=(1e-170,))
+    assert report.status == "fail" and math.isnan(report.discrepancy)
+    assert math.isnan(report.details["fitted_slope"])
+
+
 def test_mass_linearity_fails_under_abusive_schedule():
     # coarse one-sided 2-step schedule on a quartic kernel: the nonlinear
     # moved-mass terms survive extrapolation and break the 1e-6 fit residual
@@ -220,8 +241,7 @@ def test_mass_linearity_fails_under_abusive_schedule():
 def test_oracle_variance_random_sample():
     rng = np.random.default_rng(12)
     sample = random_sample(rng, size=256)
-    report = check_against_oracle(VARIANCE, sample, lions_derivative_grid(VARIANCE, sample, 4),
-                                  StepSchedule.for_level(4))
+    report = check_against_oracle(VARIANCE, lions_derivative_grid(VARIANCE, sample, 4))
     assert report.status == "pass"
     assert report.details["sup_error"] <= 1e-8
 
@@ -231,7 +251,7 @@ def test_oracle_cubic_taylor_bound():
     rng = np.random.default_rng(14)
     sample = random_sample(rng, size=64, lo=-1.0, hi=1.0)
     sched = StepSchedule.for_level(3)
-    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 3), sched)
+    report = check_against_oracle(f, lions_derivative_grid(f, sample, 3, sched))
     assert report.status == "pass"
     eps_min = sched.steps(at=1.0)[-1]
     assert report.tolerance <= 1.5 * eps_min ** 2 * 1.2  # phi''' = 6, bound ~ eps^2
@@ -242,8 +262,7 @@ def test_oracle_mean_square_constant_g():
     rng = np.random.default_rng(15)
     sample = random_sample(rng, size=128)
     f = make_mean_square()
-    report = check_against_oracle(f, sample, lions_derivative_grid(f, sample, 4),
-                                  StepSchedule.for_level(4))
+    report = check_against_oracle(f, lions_derivative_grid(f, sample, 4))
     assert report.status == "pass"
     estimates = [case["estimated"] for case in report.cases]
     assert max(estimates) - min(estimates) <= 1e-10
@@ -254,7 +273,7 @@ def test_oracle_requires_closed_form():
     sample = make_sample([0.0, 1.0])
     est = lions_derivative_grid(f, sample, 2)
     with pytest.raises(NoClosedFormError):
-        check_against_oracle(f, sample, est, StepSchedule.for_level(2))
+        check_against_oracle(f, est)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +373,8 @@ def _on_cpus(monkeypatch, cpus, run):
 def _both_reports(f, sample, level, schedule, seed):
     est = lions_derivative_grid(f, sample, level, schedule)
     return [json.dumps(r.to_dict()) for r in (
-        check_structure(f, sample, est, directions=7, seed=seed, schedule=schedule),
-        check_law_invariance(f, sample, est, schedule, transforms=5, seed=seed),
+        check_structure(f, sample, est, directions=7, seed=seed),
+        check_law_invariance(f, sample, est, transforms=5, seed=seed),
     )]
 
 
@@ -384,10 +403,9 @@ def test_reports_do_not_depend_on_the_number_of_cpus(monkeypatch, cpus, case):
 # Leftward directions: seed 1, 3 only; seed 3, 1 and 3; seed 12, 0 only.
 @pytest.mark.parametrize("seed", [1, 3, 12])
 def test_an_error_in_any_share_is_the_plain_loops_error(monkeypatch, cpus, seed):
-    est = lions_derivative_grid(VARIANCE, AT_HALF, 2)
+    est = lions_derivative_grid(VARIANCE, AT_HALF, 2, ONE_SIDED)
     f = _left_probe(_raise_moved_left)
-    run = lambda: check_structure(f, AT_HALF, est, directions=4, seed=seed,  # noqa: E731
-                                  schedule=ONE_SIDED)
+    run = lambda: check_structure(f, AT_HALF, est, directions=4, seed=seed)  # noqa: E731
     with pytest.raises(ValueError, match="moved left to") as serial:
         _on_cpus(monkeypatch, 1, run)
     with pytest.raises(ValueError) as forked:
@@ -482,11 +500,11 @@ def test_structure_rejects_a_wrong_derivative(name, misfit):
 def test_oracle_rejects_a_wrong_closed_form(name):
     f = BUILTINS[name]
     est = lions_derivative_grid(f, CONTROL_SAMPLE, 5)
-    assert check_against_oracle(f, CONTROL_SAMPLE, est, StepSchedule.for_level(5)).status == "pass"
+    assert check_against_oracle(f, est).status == "pass"
     true_g = f.analytic_derivative
     wrong = dataclasses.replace(
         f, analytic_derivative=lambda mu, xs: true_g(mu, xs) * (1.0 + 1e-4))
-    _fails_finitely(check_against_oracle(wrong, CONTROL_SAMPLE, est, StepSchedule.for_level(5)))
+    _fails_finitely(check_against_oracle(wrong, est))
 
 
 def _left_to_right_merge(atoms, weights):
@@ -504,11 +522,10 @@ def _left_to_right_merge(atoms, weights):
 def test_law_invariance_rejects_an_order_dependent_merge(monkeypatch):
     sample = random_sample(np.random.default_rng(3), size=200, weighted=True)
     est = lions_derivative_grid(VARIANCE, sample, 3)
-    schedule = StepSchedule.for_level(3)
-    assert check_law_invariance(VARIANCE, sample, est, schedule, transforms=4).status == "pass"
+    assert check_law_invariance(VARIANCE, sample, est, transforms=4).status == "pass"
     monkeypatch.setattr(measure, "make_measure", _left_to_right_merge)
     est = lions_derivative_grid(VARIANCE, sample, 3)
-    _fails_finitely(check_law_invariance(VARIANCE, sample, est, schedule, transforms=4))
+    _fails_finitely(check_law_invariance(VARIANCE, sample, est, transforms=4))
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +537,9 @@ def test_reports_serialize_to_json():
     est = lions_derivative_grid(VARIANCE, sample, 2)
     for report in (
         check_structure(VARIANCE, sample, est, directions=2, seed=0),
-        check_law_invariance(VARIANCE, sample, est, StepSchedule.for_level(2), transforms=2,
-                             seed=0),
+        check_law_invariance(VARIANCE, sample, est, transforms=2, seed=0),
         check_mass_linearity(VARIANCE, HALF_HALF, 1),
-        check_against_oracle(VARIANCE, sample, est, StepSchedule.for_level(2)),
+        check_against_oracle(VARIANCE, est),
     ):
         payload = json.dumps(report.to_dict())
         back = json.loads(payload)
