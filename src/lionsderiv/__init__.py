@@ -45,7 +45,6 @@ from .estimator import (
     Direction,
     EstimatorError,
     ProbeFailureError,
-    SchedulePolicy,
     StepSchedule,
     atom_shift_quotients,
     directional_derivative,

@@ -24,7 +24,7 @@ import numpy as np
 from .estimator import (
     MODES,
     EstimatorError,
-    SchedulePolicy,
+    StepSchedule,
     lions_derivative_grid,
     refine_until_converged,
 )
@@ -60,8 +60,6 @@ DEFAULT_TOL = 1e-6
 DEFAULT_ESTIMATE_LEVELS = (2, 24)
 DEFAULT_STUDY_LEVELS = (2, 8)
 DEFAULT_VERIFY_LEVEL = 4
-DEFAULT_DIRECTIONS = 32
-DEFAULT_TRANSFORMS = 20
 
 _CONFIG_KEYS = {
     "command", "functional", "input", "out", "level", "levels",
@@ -84,7 +82,7 @@ class RunConfig:
     levels: tuple[int, int] | None
     tol: float
     seed: int
-    policy: SchedulePolicy
+    schedule: Mapping[str, Any]  # StepSchedule fields; None takes the default
 
 
 def _fmt(x: float) -> str:
@@ -183,7 +181,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # The functional, level and schedule rules live in the library; a
     # violation there is a config error here.
     try:
-        return RunConfig(
+        cfg = RunConfig(
             command=args.command,
             functional=functional_from_config(functional_spec),
             functional_spec=functional_spec,
@@ -193,11 +191,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             levels=None if levels is None else _parse_levels(levels),
             tol=tol,
             seed=seed,
-            policy=SchedulePolicy(
-                eps0=_require_number(pick(args.eps0, "eps0"), "eps0"),
-                ratio=_require_number(file_cfg.get("ratio"), "ratio"),
-                count=file_cfg.get("count"), mode=pick(args.mode, "mode")),
+            schedule={"eps0": _require_number(pick(args.eps0, "eps0"), "eps0"),
+                      "ratio": _require_number(file_cfg.get("ratio"), "ratio"),
+                      "count": file_cfg.get("count"), "mode": pick(args.mode, "mode")},
         )
+        StepSchedule.for_level(0, **cfg.schedule)  # valid at 0 is valid at every level
+        return cfg
     except (FunctionalConfigError, EstimatorError, MeasureError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -238,7 +237,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     else:
         n_min, n_max = cfg.levels if cfg.levels is not None else DEFAULT_ESTIMATE_LEVELS
     est, report = refine_until_converged(
-        f, sample, tol=cfg.tol, n_min=n_min, n_max=n_max, schedule_policy=cfg.policy,
+        f, sample, tol=cfg.tol, n_min=n_min, n_max=n_max, **cfg.schedule,
     )
     out_csv = cfg.output_path or "estimate.csv"
     _write_text(out_csv, "x,g_hat,err_est\n" + "".join(
@@ -250,7 +249,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         "input": cfg.input_path,
         "seed": cfg.seed,
         "tol": cfg.tol,
-        "schedule_policy": cfg.policy.to_dict(),
+        "schedule_policy": cfg.schedule,
         "levels": list(report.levels),
         "distances": list(report.distances),
         "converged": report.converged,
@@ -267,21 +266,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     f = cfg.functional
     sample = read_sample_file(cfg.input_path)
     level = cfg.level if cfg.level is not None else DEFAULT_VERIFY_LEVEL
-    est = lions_derivative_grid(f, sample, level, cfg.policy.for_level(level))
+    est = lions_derivative_grid(f, sample, level, StepSchedule.for_level(level, **cfg.schedule))
 
     checks: list[dict] = []
     all_passed = True
 
-    structure = check_structure(
-        f, sample, est, directions=DEFAULT_DIRECTIONS, seed=cfg.seed,
-    )
+    structure = check_structure(f, sample, est, seed=cfg.seed)
     checks.append(structure.to_dict())
     all_passed &= structure.status == "pass"
 
-    invariance = check_law_invariance(
-        f, sample, est, transforms=DEFAULT_TRANSFORMS,
-        seed=(cfg.seed + 1) % 2 ** 64,
-    )
+    invariance = check_law_invariance(f, sample, est, seed=(cfg.seed + 1) % 2 ** 64)
     checks.append(invariance.to_dict())
     all_passed &= invariance.status == "pass"
 
@@ -304,7 +298,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "input": cfg.input_path,
         "level": level,
         "seed": cfg.seed,
-        "schedule_policy": cfg.policy.to_dict(),
+        "schedule_policy": cfg.schedule,
         "all_passed": bool(all_passed),
         "checks": checks,
     }
@@ -316,7 +310,7 @@ def cmd_study(cfg: RunConfig) -> int:
     f = cfg.functional
     sample = read_sample_file(cfg.input_path)
     a, b = cfg.levels if cfg.levels is not None else DEFAULT_STUDY_LEVELS
-    rows = convergence_study(f, sample, range(a, b + 1), schedule_policy=cfg.policy)
+    rows = convergence_study(f, sample, range(a, b + 1), **cfg.schedule)
     out_csv = cfg.output_path or "study.csv"
     lines = ["n,w2_quant,succ_diff,oracle_err\n"]
     for row in rows:

@@ -28,7 +28,7 @@ track particles instead of measures get this wrong.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,7 +47,6 @@ from .measure import (
 
 __all__ = [
     "StepSchedule",
-    "SchedulePolicy",
     "Direction",
     "DerivativeEstimate",
     "ConvergenceReport",
@@ -96,7 +95,7 @@ class StepSchedule:
     mode: str = "central"
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps0) and self.eps0 > 0):
+        if isinstance(self.eps0, bool) or not (math.isfinite(self.eps0) and self.eps0 > 0):
             raise EstimatorError(f"eps0 must be positive and finite, got {self.eps0!r}")
         if not (0.0 < self.ratio < 1.0):
             raise EstimatorError(f"ratio must lie in (0, 1), got {self.ratio!r}")
@@ -114,9 +113,11 @@ class StepSchedule:
 
     @classmethod
     def for_level(cls, level: QuantizationLevel | int, **fields) -> "StepSchedule":
-        """Level-coupled default: eps0 = 2^-n / 8 keeps a shifted atom inside
-        its own cell's neighborhood.  ``fields`` set the other fields."""
-        return cls(eps0=2.0 ** -as_level(level).n / 8.0, **fields)
+        """The schedule at a level; a field not in ``fields``, or given as
+        None, takes its default.  eps0's, 2^-n / 8, keeps a shifted atom
+        inside its own cell's neighborhood."""
+        given = {k: v for k, v in fields.items() if v is not None}
+        return cls(**{"eps0": 2.0 ** -as_level(level).n / 8.0, **given})
 
     def steps(self, at=0.0):
         """Concrete steps near each position of ``at``: for an array, an
@@ -131,28 +132,6 @@ class StepSchedule:
             eps0 = np.where(self.eps0 * last < floor, floor / last, self.eps0)
             steps = eps0[..., None] * powers
         return steps if at.ndim else tuple(steps.tolist())
-
-
-@dataclass(frozen=True)
-class SchedulePolicy:
-    """Optional overrides applied on top of the level-coupled defaults.  Built
-    only if its level-0 schedule is valid: only the default eps0 depends on
-    the level, and that default is valid at every level."""
-
-    eps0: float | None = None
-    ratio: float | None = None
-    count: int | None = None
-    mode: str | None = None
-
-    def __post_init__(self):
-        self.for_level(0)
-
-    def for_level(self, level: QuantizationLevel | int) -> StepSchedule:
-        overrides = {k: v for k, v in self.to_dict().items() if v is not None}
-        return replace(StepSchedule.for_level(level), **overrides)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -264,14 +243,14 @@ def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
 def _known_shift_values(f, mu: DiscreteMeasure, indices: np.ndarray,
                         shifts: np.ndarray) -> np.ndarray:
     """f at each one-atom shift of ``mu`` that stays inside its gap, from
-    one call of f's ``shift_evaluator`` on ``mu``; NaN where it declines and
-    at the other probes.  Probe (r, j) moves atom ``indices[r]`` by
+    one call of f's ``shift_evaluator``; NaN where it declines and at the
+    other probes.  Probe (r, j) moves atom ``indices[r]`` by
     ``shifts[r, j]``; inside its gap its measure, ``_shifted(mu, i, eps)``,
     is ``mu`` with that atom moved and the same weights.
     """
     values = np.full(shifts.shape, math.nan)
-    factory = getattr(f, "shift_evaluator", None)
-    if factory is None:
+    shift_evaluator = getattr(f, "shift_evaluator", None)
+    if shift_evaluator is None:
         return values
     atoms = mu.atoms
     at = np.broadcast_to(indices[:, None], shifts.shape)
@@ -280,9 +259,8 @@ def _known_shift_values(f, mu: DiscreteMeasure, indices: np.ndarray,
     left = np.concatenate(([-math.inf], atoms[:-1]))[at]
     right = np.concatenate((atoms[1:], [math.inf]))[at]
     inside = np.isfinite(positions) & (left < positions) & (positions < right)
-    shift_values = factory(mu) if inside.any() else None
-    if shift_values is not None:
-        values[inside] = shift_values(at[inside], positions[inside])
+    if inside.any():
+        values[inside] = shift_evaluator(mu, at[inside], positions[inside])
     return values
 
 
@@ -548,41 +526,44 @@ def g_tilde_values(est: DerivativeEstimate, xs) -> np.ndarray:
     return _on_cells(est, est.g_values, xs)
 
 
-def _level_grids(f, sample: EmpiricalSample, levels, policy: SchedulePolicy):
+def _level_grids(f, sample: EmpiricalSample, levels, schedule: dict):
     """Per level: the derivative grid, g-tilde at the sample's values, and
     the L2(law) distance to the previous level's g-tilde (None at the first
     level).  Each grid is computed only when the next item is requested."""
     prev = None
     for n in levels:
-        est = lions_derivative_grid(f, sample, n, policy.for_level(n))
+        est = lions_derivative_grid(f, sample, n, StepSchedule.for_level(n, **schedule))
         g = g_tilde_values(est, sample.values)
         yield est, g, None if prev is None else _weighted_l2(sample.weights, prev - g)
         prev = g
 
 
 def refine_until_converged(f, sample: EmpiricalSample, tol: float,
-                           n_min: int = 2, n_max: int = 24,
-                           schedule_policy: SchedulePolicy | None = None,
+                           n_min: int = 2, n_max: int = 24, *,
+                           eps0: float | None = None, ratio: float | None = None,
+                           count: int | None = None, mode: str | None = None,
                            ) -> tuple[DerivativeEstimate, ConvergenceReport]:
     """Refine the quantization level until successive estimates are Cauchy.
 
-    Computes derivative grids at levels n_min, n_min+1, ... and declares
-    convergence when the L2(law) distance between consecutive extensions,
-    taken under the original sample's weights at the original values, falls
-    below ``tol``.  Hitting ``n_max`` first yields the last estimate with a
-    non-converged report -- a reported state, not an exception: convergence
-    is only guaranteed under hypotheses no finite computation can verify.
+    Computes derivative grids at levels n_min, n_min+1, ..., level n under
+    ``StepSchedule.for_level(n, eps0=eps0, ratio=ratio, count=count,
+    mode=mode)``, and declares convergence when the L2(law) distance
+    between consecutive extensions, taken under the original sample's
+    weights at the original values, falls below ``tol``.  Hitting ``n_max``
+    first yields the last estimate with a non-converged report -- a
+    reported state, not an exception: convergence is only guaranteed under
+    hypotheses no finite computation can verify.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise EstimatorError(f"tol must be positive, got {tol!r}")
     n_min, n_max = int(n_min), int(n_max)
     if n_min < 0 or n_min > n_max:
         raise EstimatorError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
-    policy = schedule_policy if schedule_policy is not None else SchedulePolicy()
+    schedule = {"eps0": eps0, "ratio": ratio, "count": count, "mode": mode}
     levels: list[int] = []
     distances: list[float] = []
     converged = False
-    for est, _, d in _level_grids(f, sample, range(n_min, n_max + 1), policy):
+    for est, _, d in _level_grids(f, sample, range(n_min, n_max + 1), schedule):
         levels.append(est.level.n)
         if d is not None:
             distances.append(d)

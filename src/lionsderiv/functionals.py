@@ -122,35 +122,36 @@ class PotentialSpec:
         return float(np.max(np.abs(self.values(np.linspace(lo, hi, samples)))))
 
 
-ShiftValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True)
 class Functional:
     """Evaluable map from canonical measures to reals.
 
     ``evaluate`` is pure and deterministic: identical canonical measures give
-    bitwise-identical values.  ``analytic_derivative``, when present, is the
-    closed form on arrays: ``analytic_derivative(mu, xs)`` returns g(mu, x)
-    at every point of the float array ``xs``, in its shape, computing a
-    per-measure constant such as the mean once.  Equality compares name and
-    params only, so a registry round trip returns an equal functional.
+    bitwise-identical values.  It returns a real number, which the estimator
+    takes with ``float()``: a value that ``float()`` rejects, such as None
+    or an array of more than one element, raises its ``TypeError`` there,
+    and that propagates as an exception raised by ``evaluate`` itself does.
+    ``analytic_derivative``, when present, is the closed form on arrays:
+    ``analytic_derivative(mu, xs)`` returns g(mu, x) at every point of the
+    float array ``xs``, in its shape, computing a per-measure constant such
+    as the mean once.  Equality compares name and params only, so a
+    registry round trip returns an equal functional.
 
     ``shift_evaluator``, when present, makes the estimator's one-atom shift
-    probes cheap.  ``shift_evaluator(canon)`` is called once per canonical
-    base measure and returns ``values(indices, positions)``, which takes an
-    int and a float array of the same length, in any order and with
-    repeats, and returns a float array of that length.  Entry k must equal
-    ``evaluate(canon with atom indices[k] moved to positions[k])`` bit for
-    bit, weights kept, for every finite position strictly between the
-    atom's neighbours; it is NaN where ``values`` declines the probe.  The
-    factory returns None to decline a base measure.  Declined probes are
+    probes cheap.  ``shift_evaluator(canon, indices, positions)`` takes a
+    canonical measure and an int and a float array of the same length, in
+    any order and with repeats, and returns a float array of that length.
+    Entry k must equal ``evaluate(canon with atom indices[k] moved to
+    positions[k])`` bit for bit, weights kept, for every finite position
+    strictly between the atom's neighbours; it is NaN where the evaluator
+    declines the probe, and every entry is NaN for a base it cannot handle.
+    A grid asks for all its probes in one call.  Declined probes are
     evaluated in full, atom by atom in probe order, and an atom stops at its
     first non-finite value, so ``evaluate`` sees the probes it would see
     without the evaluator.  The built-ins all have one: ``linear``,
     ``mean_square`` and ``variance`` re-sum in O(1) per probe,
     ``interaction`` in O(M) for M atoms, where a full evaluation costs O(M)
-    and O(M^2); each keeps O(M) memory per base measure.  Both rest on exact
+    and O(M^2); each keeps O(M) memory per call.  Both rest on exact
     summation: the base keeps fsum's partials of its exact term sum, and
     fsum over them with some terms swapped for new ones is the sum a full
     evaluation forms.  A functional added with :func:`register` opts in by
@@ -164,9 +165,8 @@ class Functional:
     analytic_derivative: Callable[[DiscreteMeasure, np.ndarray], np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
-    shift_evaluator: Callable[[DiscreteMeasure], ShiftValues | None] | None = field(
-        default=None, compare=False, repr=False
-    )
+    shift_evaluator: Callable[[DiscreteMeasure, np.ndarray, np.ndarray], np.ndarray] | None = (
+        field(default=None, compare=False, repr=False))
 
     def __call__(self, mu: DiscreteMeasure) -> float:
         return self.evaluate(mu)
@@ -214,20 +214,17 @@ def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
     def evaluate(mu: DiscreteMeasure) -> float:
         return combine(*(_exact_sum(t) for t in term_arrays(mu)))
 
-    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValues | None:
+    def shift_evaluator(canon: DiscreteMeasure, indices: np.ndarray,
+                        positions: np.ndarray) -> np.ndarray:
         arrays = term_arrays(canon)
         sums = [_exact_parts(t) for t in arrays]
         if any(s is None for s in sums):
-            return None
-
-        def values(indices: np.ndarray, positions: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):
-                news = terms(canon.weights[indices], positions)
-                totals = [_resums(s, map(list, zip((-old[indices]).tolist(), new.tolist())))
-                          for s, old, new in zip(sums, arrays, news)]
-                return combine(*totals)
-
-        return values
+            return np.full(indices.shape, math.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            news = terms(canon.weights[indices], positions)
+            totals = [_resums(s, map(list, zip((-old[indices]).tolist(), new.tolist())))
+                      for s, old, new in zip(sums, arrays, news)]
+            return combine(*totals)
 
     return evaluate, shift_evaluator
 
@@ -411,10 +408,11 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
             terms = (weights[:, None] * weights) * spec.values(atoms[:, None] - atoms)
         return _fsum_or_nan(terms.ravel().tolist())
 
-    def shift_evaluator(canon: DiscreteMeasure) -> ShiftValues | None:
+    def shift_evaluator(canon: DiscreteMeasure, indices: np.ndarray,
+                        positions: np.ndarray) -> np.ndarray:
         partials = pair_partials(canon)
         if partials is None:
-            return None
+            return np.full(indices.shape, math.nan)
         atoms, weights = canon.atoms, canon.weights
         m = atoms.size
         line_weights = np.concatenate((weights, weights))
@@ -423,7 +421,7 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
         # negated.  Those lines are terms of the base, which pair_partials
         # found finite and far from overflow, so fsum over them cannot raise.
         old_lines: dict[int, list[float]] = {}
-        # One set of chunk buffers per base measure, filled for every chunk.
+        # One set of chunk buffers, filled for every chunk.
         gaps_buffer = np.empty((probes_per_chunk, 2 * m))
         terms_buffer = np.empty(gaps_buffer.shape)
 
@@ -441,24 +439,21 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
                 scale = np.multiply(weights[i, None], line_weights, out=gaps)
                 return np.multiply(scale, terms, out=terms)
 
-        def values(indices: np.ndarray, positions: np.ndarray) -> np.ndarray:
-            # Moving atom i changes row i and column i.  Both hold the
-            # diagonal term w_i^2 * w(0), whose bits do not change, so
-            # swapping both whole lines, old for new, is exact.  Chunks of
-            # probes keep each lines array within _PAIR_BLOCK terms.
-            out = np.empty(indices.size)
-            for a in range(0, indices.size, probes_per_chunk):
-                chunk = slice(a, a + probes_per_chunk)
-                i = indices[chunk]
-                first = np.array(sorted(set(i.tolist()) - old_lines.keys()), dtype=int)
-                negated = lines(first, atoms[first])
-                for k, line in zip(first.tolist(), np.negative(negated, out=negated).tolist()):
-                    old_lines[k] = _partials(line)
-                out[chunk] = _resums(partials, (line.tolist() + old_lines[k] for line, k in
-                                                zip(lines(i, positions[chunk]), i.tolist())))
-            return out
-
-        return values
+        # Moving atom i changes row i and column i.  Both hold the diagonal
+        # term w_i^2 * w(0), whose bits do not change, so swapping both whole
+        # lines, old for new, is exact.  Chunks of probes keep each lines
+        # array within _PAIR_BLOCK terms.
+        out = np.empty(indices.size)
+        for a in range(0, indices.size, probes_per_chunk):
+            chunk = slice(a, a + probes_per_chunk)
+            i = indices[chunk]
+            first = np.array(sorted(set(i.tolist()) - old_lines.keys()), dtype=int)
+            negated = lines(first, atoms[first])
+            for k, line in zip(first.tolist(), np.negative(negated, out=negated).tolist()):
+                old_lines[k] = _partials(line)
+            out[chunk] = _resums(partials, (line.tolist() + old_lines[k] for line, k in
+                                            zip(lines(i, positions[chunk]), i.tolist())))
+        return out
 
     def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
         # One exact sum per point; an N x M matrix of terms would cost memory.

@@ -30,7 +30,6 @@ from .estimator import (
     DerivativeEstimate,
     Direction,
     ProbeFailureError,
-    SchedulePolicy,
     StepSchedule,
     _check_index,
     _level_grids,
@@ -269,9 +268,10 @@ def _estimate_gap(a: DerivativeEstimate, b: DerivativeEstimate) -> float:
     if (np.array_equal(a.g_values, b.g_values, equal_nan=True)
             and np.array_equal(a.error_estimates, b.error_estimates, equal_nan=True)):
         return 0.0
-    gap_g = float(np.max(np.abs(a.g_values - b.g_values), initial=0.0))
-    gap_e = float(np.max(np.abs(a.error_estimates - b.error_estimates), initial=0.0))
-    return max(gap_g, gap_e)
+    ok = ~np.isnan(a.g_values)  # the atoms both estimates computed
+    gaps = np.abs(np.concatenate((a.g_values[ok] - b.g_values[ok],
+                                  a.error_estimates[ok] - b.error_estimates[ok])))
+    return float(np.max(gaps, initial=0.0))
 
 
 def check_law_invariance(f: Functional, sample: EmpiricalSample,
@@ -301,16 +301,15 @@ def check_law_invariance(f: Functional, sample: EmpiricalSample,
         return tuple(_estimate_gap(est, lions_derivative_grid(f, s, est.level, est.schedule))
                      for s in (permuted, split))
 
+    results = _map_tasks(gaps, transforms, 2)
     cases = []
-    worst = 0.0
-    for idx, ((_, split_at), (gap_p, gap_s)) in enumerate(
-            zip(plans, _map_tasks(gaps, transforms, 2).tolist())):
+    for idx, ((_, split_at), (gap_p, gap_s)) in enumerate(zip(plans, results.tolist())):
         cases.append({"transform": idx, "kind": "permutation",
                       "max_abs_difference": gap_p})
         cases.append({"transform": idx, "kind": "weight_split",
                       "split_index": split_at,
                       "max_abs_difference": gap_s})
-        worst = max(worst, gap_p, gap_s)
+    worst = float(np.max(results))  # NaN where any gap is
     details = {
         "level": est.level.n,
         "transforms_per_kind": transforms,
@@ -447,11 +446,13 @@ class StudyRow:
 
 
 def convergence_study(f: Functional, sample: EmpiricalSample,
-                      levels: Iterable[int],
-                      schedule_policy: SchedulePolicy | None = None,
+                      levels: Iterable[int], *,
+                      eps0: float | None = None, ratio: float | None = None,
+                      count: int | None = None, mode: str | None = None,
                       ) -> tuple[StudyRow, ...]:
     """Per-level quantization distance, successive g-tilde differences, and
     (when a closed form exists) the total error against the true law.
+    The schedule keywords act as in ``refine_until_converged``.
 
     The oracle column evaluates the closed form at the *original* law and
     values, so it tracks the full quantization-plus-scheme error whose decay
@@ -460,13 +461,13 @@ def convergence_study(f: Functional, sample: EmpiricalSample,
     levels = [int(n) for n in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be nonempty and ascending, got {levels}")
-    policy = schedule_policy if schedule_policy is not None else SchedulePolicy()
     base_law = law_of(sample)
     oracle_at_values = None
     if f.has_closed_form:
         oracle_at_values = f.analytic_g(base_law, sample.values)
+    schedule = {"eps0": eps0, "ratio": ratio, "count": count, "mode": mode}
     rows: list[StudyRow] = []
-    for est, g, succ in _level_grids(f, sample, levels, policy):
+    for est, g, succ in _level_grids(f, sample, levels, schedule):
         n = est.level.n
         w2 = wasserstein2(base_law, est.law)
         oerr = (None if oracle_at_values is None

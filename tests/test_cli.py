@@ -1,7 +1,10 @@
 """CLI contracts: exit-code partition, config precedence, determinism,
 round-trips of the emitted files."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lionsderiv import (
+    EstimatorError,
     Functional,
-    SchedulePolicy,
+    StepSchedule,
     convergence_study,
     make_sample,
     refine_until_converged,
@@ -81,7 +85,6 @@ def test_estimate_csv_round_trips_exactly(workdir):
     assert code == 0
     est, _ = refine_until_converged(
         make_variance(), make_sample(values), tol=1e-2, n_min=2, n_max=12,
-        schedule_policy=SchedulePolicy(),
     )
     lines = (workdir / "estimate.csv").read_text().strip().splitlines()[1:]
     parsed = [tuple(map(float, line.split(","))) for line in lines]
@@ -204,8 +207,7 @@ def test_study_table(workdir):
         assert float(r[1]) <= 2.0 ** -int(r[0])
     assert rows[0][2] == ""  # no predecessor level
     # round trip against the library values
-    study = convergence_study(make_variance(), make_sample(values), range(2, 7),
-                              schedule_policy=SchedulePolicy())
+    study = convergence_study(make_variance(), make_sample(values), range(2, 7))
     for r, row in zip(rows, study):
         assert float(r[1]) == row.w2_quantization
         if r[2]:
@@ -428,6 +430,47 @@ def test_bad_run_setting_exits_2_with_one_line(workdir, capsys, flags, config):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("lionsderiv: config error: ") and err.count("\n") == 1
+
+
+# Each schedule field: null, in range, at an edge of its range, out of
+# range, or of a wrong JSON type.
+SCHEDULE_FIELDS = {
+    "eps0": st.one_of(st.none(), st.floats(5e-324, 1.7976931348623157e308), st.sampled_from(
+        [5e-324, 1.7976931348623157e308, 0.0, -0.0, -1.0, math.inf, math.nan,
+         int(HUGE), 1, True, False, "0.1", [0.1]])),
+    "ratio": st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.sampled_from([5e-324, 0.9999999999999999, 0.0, 1.0, -0.5, 2.0,
+                                        math.nan, 1e-200, True, False, "0.5", [0.5]])),
+    "count": st.one_of(st.none(), st.integers(2, 12), st.sampled_from(
+        [2, 1, 0, -3, 1100, int(HUGE), 4.0, 2.5, "4", True, [4]])),
+    "mode": st.one_of(st.none(), st.sampled_from(
+        ["central", "one_sided", "sideways", "", 1, True, ["central"], {"mode": "central"}])),
+}
+
+
+@given(st.fixed_dictionaries(SCHEDULE_FIELDS))
+@settings(max_examples=150, deadline=None)
+def test_the_cli_takes_exactly_the_schedules_the_library_takes(fields):
+    try:
+        StepSchedule.for_level(0, **fields)
+        rejected = False
+    except (EstimatorError, TypeError, OverflowError):
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "s.csv").write_text(BALANCED)
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps({
+            "functional": {"name": "variance"}, "input": str(Path(tmp) / "s.csv"),
+            "out": str(Path(tmp) / "out.csv"), "level": 0, **fields}))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["estimate", "--config", str(config)])
+    # A single level cannot show convergence, so a run that starts exits 3.
+    assert code == (2 if rejected else 3)
+    lines = err.getvalue().splitlines()
+    if rejected:
+        assert len(lines) == 1 and lines[0].startswith("lionsderiv: config error: ")
+    else:
+        assert lines == []
 
 
 def test_weights_whose_sum_overflows_exit_1_with_one_line(workdir, capsys):

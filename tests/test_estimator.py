@@ -22,7 +22,6 @@ from lionsderiv import (
     Functional,
     ProbeFailureError,
     QuantizationLevel,
-    SchedulePolicy,
     StepSchedule,
     atom_shift_quotients,
     directional_derivative,
@@ -77,9 +76,9 @@ def test_schedule_rejects_a_ratio_power_that_underflows(ratio, count):
 
 def test_schedule_policy_is_checked_when_built():
     with pytest.raises(EstimatorError, match="eps0"):
-        SchedulePolicy(eps0=-1.0)
+        StepSchedule.for_level(0, eps0=-1.0)
     with pytest.raises(EstimatorError, match="underflow"):
-        SchedulePolicy(ratio=1e-200)
+        StepSchedule.for_level(0, ratio=1e-200)
 
 
 def test_schedule_step_floor():
@@ -91,14 +90,14 @@ def test_schedule_step_floor():
 
 
 def test_schedule_policy_overrides():
-    policy = SchedulePolicy(eps0=0.5, mode="one_sided")
-    sched = policy.for_level(4)
+    sched = StepSchedule.for_level(4, eps0=0.5, ratio=None, count=None, mode="one_sided")
     assert sched.eps0 == 0.5
     assert sched.mode == "one_sided"
     assert sched.ratio == 0.5
-    default = SchedulePolicy().for_level(4)
+    default = StepSchedule.for_level(4, eps0=None, ratio=None, count=None, mode=None)
     assert default.eps0 == 2.0 ** -4 / 8.0
     assert default.mode == "central"
+    assert StepSchedule() == StepSchedule.for_level(0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +284,17 @@ def test_grid_stops_an_atom_at_its_first_non_finite_probe():
     est = lions_derivative_grid(f, make_sample([0.0, 1.0]), 0, StepSchedule(eps0=0.125))
     assert est.failed_atoms == (0,)
     assert est.g_values[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mode", ["central", "one_sided"])
+@pytest.mark.parametrize("value", [None, np.array([1.0, 2.0])], ids=["None", "array"])
+def test_grid_raises_the_type_error_of_a_value_that_is_not_a_number(value, mode):
+    # The estimator takes each value of evaluate with float(); the TypeError
+    # of one it rejects propagates, as an error raised by evaluate does,
+    # and is not a flagged atom.
+    f = Functional(name="no_number", params={}, evaluate=lambda mu: value)
+    with pytest.raises(TypeError):
+        lions_derivative_grid(f, make_sample([0.0, 1.0]), 2, StepSchedule.for_level(2, mode=mode))
 
 
 def test_interaction_grid_memory_stays_far_below_one_lines_array_for_all_probes():

@@ -174,7 +174,7 @@ def test_interaction_probes_of_several_atoms_on_one_base_are_full_evaluations(
             want.append(f(DiscreteMeasure(moved, mu.weights)))
     for block in (functionals_module._PAIR_BLOCK, 3 * mu.n_atoms):
         monkeypatch.setattr(functionals_module, "_PAIR_BLOCK", block)
-        got = f.shift_evaluator(mu)(np.array(indices), np.array(positions))
+        got = f.shift_evaluator(mu, np.array(indices), np.array(positions))
         assert got.tobytes() == np.array(want).tobytes()
 
 

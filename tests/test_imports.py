@@ -1,7 +1,9 @@
-"""Every import in the package's modules is used: a name an edit stops
-using fails here, with no linter installed.  A name counts as used where
-the module reads it, or lists it in ``__all__``.  The package's
-``__init__`` is exempt: each of its imports is an export."""
+"""Every import in the package's modules is used, and every module-level
+function, class and constant is read: a name an edit stops using fails
+here, with no linter installed.  A name counts as read where a module of
+the package reads it, imports it from another, or lists it in ``__all__``.
+The package's ``__init__`` is exempt from the import check: each of its
+imports is an export."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,17 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lionsderiv"
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """The names ``tree`` reads or lists in ``__all__``."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return read
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -21,13 +34,34 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 imported[bound] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+    used = _read_names(tree)
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in used]
+
+
+def _unread_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions, classes and constants, dunders aside, of
+    the modules ``sources`` (name -> source) that none of them reads,
+    imports or lists in ``__all__``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree)
+        read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{name} line {node.lineno}: {d}" for d in defined
+                       if d not in read and not (d.startswith("__") and d.endswith("__"))]
+    return unread
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
@@ -40,3 +74,19 @@ def test_an_unused_import_is_reported():
     source = ("import math\nfrom os import path, sep as separator\n"
               "__all__ = ['path']\nprint(math.pi)\n")
     assert _unused_imports(source) == ["line 2: separator"]
+
+
+def test_every_module_level_definition_is_read_or_exported():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_definitions(sources) == []
+
+
+def test_an_unread_definition_is_reported():
+    sources = {
+        "a.py": ("__all__ = ['public']\n__version__ = '1'\nLIMIT: int = 3\n"
+                 "Alias = list[int]\nclass Orphan:\n    pass\n"
+                 "def public():\n    return LIMIT\ndef _helper():\n    pass\n"),
+        "b.py": "from .a import _helper\n",
+    }
+    assert _unread_definitions(sources) == [
+        "a.py line 4: Alias", "a.py line 5: Orphan"]

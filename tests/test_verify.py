@@ -33,7 +33,7 @@ from lionsderiv import (
     refine_until_converged,
 )
 
-from lionsderiv import measure
+from lionsderiv import measure, verify
 
 from conftest import random_sample
 
@@ -167,6 +167,50 @@ def test_law_invariance_same_empirical_frequencies():
     ga = lions_derivative_grid(VARIANCE, a, 2)
     gb = lions_derivative_grid(VARIANCE, b, 2)
     assert np.array_equal(ga.g_values, gb.g_values)
+
+
+# Every probe that moves the lowest atom below 0 gives NaN, so on [0, 0.5]
+# atom 0 fails and atom 1 does not.
+FAILS_AT_ATOM_0 = Functional(
+    name="fails_at_atom_0", params={},
+    evaluate=lambda mu: math.nan if mu.atoms[0] < 0.0 else VARIANCE(mu))
+
+
+def _moved_at_atom_1(est, dg, de):
+    return dataclasses.replace(est, g_values=est.g_values + [0.0, dg],
+                               error_estimates=est.error_estimates + [0.0, de])
+
+
+@pytest.mark.parametrize("dg, de", [(1e-9, 0.0), (0.0, 1e-9), (1e-9, 3e-9)])
+def test_estimate_gap_is_taken_over_the_atoms_both_estimates_computed(dg, de):
+    # Both estimates fail at atom 0; the gap at atom 1 used to read NaN.
+    est = lions_derivative_grid(FAILS_AT_ATOM_0, make_sample([0.0, 0.5]), 2)
+    assert est.failed_atoms == (0,)
+    moved = _moved_at_atom_1(est, dg, de)
+    want = max(abs(est.g_values[1] - moved.g_values[1]),
+               abs(est.error_estimates[1] - moved.error_estimates[1]))
+    assert want > 0.0
+    assert verify._estimate_gap(est, moved) == want
+
+
+def test_law_invariance_fails_on_a_gap_beside_a_failed_atom():
+    # Every transform's grid is the sample's, so each gap is atom 1's 1e-9.
+    sample = make_sample([0.0, 0.5])
+    est = lions_derivative_grid(FAILS_AT_ATOM_0, sample, 2)
+    moved = _moved_at_atom_1(est, 1e-9, 0.0)
+    report = check_law_invariance(FAILS_AT_ATOM_0, sample, moved, transforms=2)
+    assert report.status == "fail"
+    assert report.discrepancy == abs(est.g_values[1] - moved.g_values[1])
+
+
+def test_law_invariance_keeps_a_nan_gap(monkeypatch):
+    # A NaN gap used to be dropped by the fold, max(0.0, nan) being 0.0.
+    monkeypatch.setattr(verify, "_estimate_gap", lambda a, b: math.nan)
+    sample = make_sample([0.25, 0.75])
+    est = lions_derivative_grid(VARIANCE, sample, 2)
+    report = check_law_invariance(VARIANCE, sample, est, transforms=2)
+    assert report.status == "fail"
+    assert math.isnan(report.discrepancy)
 
 
 # ---------------------------------------------------------------------------
