@@ -27,12 +27,9 @@ from .measure import (
 from .functionals import (
     Functional,
     FunctionalConfigError,
-    FunctionalRegistry,
     NoClosedFormError,
     PotentialSpec,
-    REGISTRY,
     functional_from_config,
-    lookup,
     make_interaction,
     make_linear,
     make_mean_square,

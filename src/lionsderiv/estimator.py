@@ -28,6 +28,7 @@ track particles instead of measures get this wrong.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,6 +80,15 @@ class ProbeFailureError(RuntimeError):
     not finite."""
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, with a finite float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Geometric perturbation steps eps0 * ratio^k, k = 0..count-1.
@@ -95,9 +105,9 @@ class StepSchedule:
     mode: str = "central"
 
     def __post_init__(self):
-        if isinstance(self.eps0, bool) or not (math.isfinite(self.eps0) and self.eps0 > 0):
+        if not (_finite_real(self.eps0) and self.eps0 > 0):
             raise EstimatorError(f"eps0 must be positive and finite, got {self.eps0!r}")
-        if not (0.0 < self.ratio < 1.0):
+        if not (_finite_real(self.ratio) and 0.0 < self.ratio < 1.0):
             raise EstimatorError(f"ratio must lie in (0, 1), got {self.ratio!r}")
         if not isinstance(self.count, (int, np.integer)) or self.count < 2:
             raise EstimatorError(f"count must be an integer >= 2, got {self.count!r}")
@@ -349,30 +359,25 @@ def _quotients(shifts: np.ndarray, scale: np.ndarray, mode: str,
         return differences / denominators, failures
 
 
-def _richardson(quotients: np.ndarray, ratio: float, order0: int,
-                order_step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triangular extrapolation of each row; returns (values, |last
-    increments|).  A factor past the float range reads as inf, so the
-    extrapolation comes out NaN."""
+def _richardson(quotients: np.ndarray, schedule: StepSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Triangular extrapolation of each row over the schedule's steps, of
+    order 2 central and 1 one-sided; returns (values, |last increments|).
+    A factor past the float range reads as inf, so the extrapolation comes
+    out NaN."""
     col = np.array(quotients, dtype=float)
     m = col.shape[1] - 1
-    r = 1.0 / ratio
+    r = 1.0 / schedule.ratio
+    order = 2 if schedule.mode == "central" else 1
     with np.errstate(over="ignore", invalid="ignore"):
         for stage in range(1, m + 1):
             try:
-                factor = r ** (order0 + (stage - 1) * order_step)
+                factor = r ** (order * stage)
             except OverflowError:
                 factor = math.inf
             before_last = col[:, m].copy()
             # Column k takes the old column k - 1, as in a loop from k = m down.
             col[:, stage:] = (factor * col[:, stage:] - col[:, stage - 1:m]) / (factor - 1.0)
         return col[:, m], np.abs(col[:, m] - before_last)
-
-
-def _extrapolate(quotients: np.ndarray, schedule: StepSchedule) -> tuple[np.ndarray, np.ndarray]:
-    if schedule.mode == "central":
-        return _richardson(quotients, schedule.ratio, 2, 2)
-    return _richardson(quotients, schedule.ratio, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ def lions_derivative_at_atom(f, mu: DiscreteMeasure, i: int,
     """
     schedule = schedule if schedule is not None else StepSchedule()
     quots = atom_shift_quotients(f, mu, i, schedule)
-    (value,), (error,) = (a.tolist() for a in _extrapolate(quots[None], schedule))
+    (value,), (error,) = (a.tolist() for a in _richardson(quots[None], schedule))
     if not (math.isfinite(value) and math.isfinite(error)):
         raise ProbeFailureError(
             f"extrapolation at atom {i} gives {value!r} with error {error!r}")
@@ -468,7 +473,7 @@ def lions_derivative_grid(f, sample: EmpiricalSample,
     mu = law_of(dyadic_quantize(sample, level))
     indices = np.flatnonzero(~_floor_reaches_neighbour(schedule, mu))
     quots, failures = _shift_quotients(f, mu, indices, schedule)
-    value, error = _extrapolate(quots, schedule)
+    value, error = _richardson(quots, schedule)
     ok = np.isfinite(value) & np.isfinite(error) & np.array([e is None for e in failures], bool)
     g = np.full(mu.n_atoms, math.nan)
     err = np.full(mu.n_atoms, math.nan)
@@ -588,7 +593,7 @@ def _extrapolated(f, at: float, schedule: StepSchedule | None, base, measure_at,
         lambda r, j: where(shifts[r, j].item()))
     if failure is not None:
         raise failure
-    return _extrapolate(quots, schedule)[0].item()
+    return _richardson(quots, schedule)[0].item()
 
 
 def partial_mass_perturbation(f, mu: DiscreteMeasure, i: int, q: float,

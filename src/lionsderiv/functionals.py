@@ -47,12 +47,9 @@ from .measure import (DiscreteMeasure, _certified_sum, _exact_parts, _exact_sum,
 __all__ = [
     "Functional",
     "PotentialSpec",
-    "FunctionalRegistry",
     "NoClosedFormError",
     "FunctionalConfigError",
-    "REGISTRY",
     "register",
-    "lookup",
     "make_linear",
     "make_mean_square",
     "make_variance",
@@ -93,10 +90,6 @@ class PotentialSpec:
             raise FunctionalConfigError("potential coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def values(self, xs, out: np.ndarray | None = None):
         """The polynomial at a scalar or elementwise on an array, by Horner's
         rule, highest degree first: a fixed evaluation order.  Overflow gives
@@ -115,11 +108,12 @@ class PotentialSpec:
         coeffs = tuple(j * c for j, c in enumerate(self.coefficients) if j > 0) or (0.0,)
         return PotentialSpec(coeffs) if all(math.isfinite(c) for c in coeffs) else None
 
-    def max_abs_on(self, lo: float, hi: float, samples: int = 513) -> float:
-        """Coarse bound for |phi| on [lo, hi] (tolerance bookkeeping only)."""
+    def max_abs_on(self, lo: float, hi: float) -> float:
+        """Coarse bound for |phi| on [lo, hi], the largest |phi| at 513
+        evenly spaced points (tolerance bookkeeping only)."""
         if hi < lo:
             lo, hi = hi, lo
-        return float(np.max(np.abs(self.values(np.linspace(lo, hi, samples)))))
+        return float(np.max(np.abs(self.values(np.linspace(lo, hi, 513)))))
 
 
 @dataclass(frozen=True)
@@ -197,9 +191,11 @@ def _resums(partials: list[float], rows) -> np.ndarray:
     return sums
 
 
-def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
-    """``evaluate`` and ``shift_evaluator`` for f(mu) = combine(S_1, S_2, ...)
-    with S_k the exactly rounded sum of the k-th per-atom term array.
+def _sum_of_terms(name: str, params: Mapping[str, Any], terms: Callable,
+                  combine: Callable[..., float], analytic) -> Functional:
+    """The functional ``name`` with f(mu) = combine(S_1, S_2, ...), S_k the
+    exactly rounded sum of the k-th per-atom term array, with its
+    ``shift_evaluator`` and the closed form ``analytic`` (None for none).
 
     ``terms(weights, atoms)`` is applied to the arrays of a measure and to
     those of the moved atoms, one entry per probe, so both see the same
@@ -226,59 +222,40 @@ def _sum_of_terms(terms: Callable, combine: Callable[..., float]):
                       for s, old, new in zip(sums, arrays, news)]
             return combine(*totals)
 
-    return evaluate, shift_evaluator
+    return Functional(name, params, evaluate, analytic_derivative=analytic,
+                      shift_evaluator=shift_evaluator)
 
 
 def make_linear(phi: PotentialSpec | tuple[float, ...] | list[float]) -> Functional:
     """f(mu) = integral of phi d mu for a polynomial phi; g(x) = phi'(x)."""
     spec = phi if isinstance(phi, PotentialSpec) else PotentialSpec(tuple(phi))
     dphi = spec.derivative()
-    evaluate, shift_evaluator = _sum_of_terms(
-        lambda w, x: (w * spec.values(x),), lambda total: total)
 
     def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
         return dphi.values(xs)
 
-    return Functional(
-        name="linear",
-        params={"phi": spec.coefficients},
-        evaluate=evaluate,
-        analytic_derivative=None if dphi is None else analytic,
-        shift_evaluator=shift_evaluator,
-    )
+    return _sum_of_terms("linear", {"phi": spec.coefficients},
+                         lambda w, x: (w * spec.values(x),), lambda total: total,
+                         None if dphi is None else analytic)
 
 
 def make_mean_square() -> Functional:
     """f(mu) = (mean of mu)^2; g(x) = 2 * mean(mu), constant in x."""
-    evaluate, shift_evaluator = _sum_of_terms(lambda w, x: (w * x,), lambda m: m * m)
 
     def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
         return np.full(xs.shape, 2.0 * mean(mu))
 
-    return Functional(
-        name="mean_square",
-        params={},
-        evaluate=evaluate,
-        analytic_derivative=analytic,
-        shift_evaluator=shift_evaluator,
-    )
+    return _sum_of_terms("mean_square", {}, lambda w, x: (w * x,), lambda m: m * m, analytic)
 
 
 def make_variance() -> Functional:
     """f(mu) = E[x^2] - (E[x])^2; g(x) = 2x - 2 * mean(mu)."""
-    evaluate, shift_evaluator = _sum_of_terms(
-        lambda w, x: (w * x, w * x * x), lambda m, sq: sq - m * m)
 
     def analytic(mu: DiscreteMeasure, xs: np.ndarray) -> np.ndarray:
         return 2.0 * xs - 2.0 * mean(mu)
 
-    return Functional(
-        name="variance",
-        params={},
-        evaluate=evaluate,
-        analytic_derivative=analytic,
-        shift_evaluator=shift_evaluator,
-    )
+    return _sum_of_terms("variance", {}, lambda w, x: (w * x, w * x * x),
+                         lambda m, sq: sq - m * m, analytic)
 
 
 # Pairs of atoms are formed in blocks of about this many, so that the
@@ -472,48 +449,24 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
     )
 
 
-class FunctionalRegistry:
-    """Name -> factory table; write-once per name, read-concurrently after."""
-
-    def __init__(self):
-        self._factories: dict[str, Callable[..., Functional]] = {}
-
-    def register(self, name: str, factory: Callable[..., Functional]) -> str:
-        if name in self._factories:
-            raise FunctionalConfigError(f"functional {name!r} already registered")
-        self._factories[name] = factory
-        return name
-
-    def factory(self, name: str) -> Callable[..., Functional]:
-        """The factory registered under ``name``; any other name, including
-        one that is not a string, is a config error."""
-        if not isinstance(name, str) or name not in self._factories:
-            known = ", ".join(sorted(self._factories))
-            raise FunctionalConfigError(f"unknown functional {name!r} (known: {known})")
-        return self._factories[name]
-
-    def lookup(self, name: str, **params: Any) -> Functional:
-        return self.factory(name)(**params)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._factories))
-
-
-REGISTRY = FunctionalRegistry()
-REGISTRY.register("linear", make_linear)
-REGISTRY.register("mean_square", make_mean_square)
-REGISTRY.register("variance", make_variance)
-REGISTRY.register("interaction", make_interaction)
+_FACTORIES: dict[str, Callable[..., Functional]] = {
+    "linear": make_linear,
+    "mean_square": make_mean_square,
+    "variance": make_variance,
+    "interaction": make_interaction,
+}
 
 
 def register(name: str, factory: Callable[..., Functional]) -> str:
-    """Add a user-defined functional family to the default registry."""
-    return REGISTRY.register(name, factory)
-
-
-def lookup(name: str, **params: Any) -> Functional:
-    """Fetch a functional from the default registry."""
-    return REGISTRY.lookup(name, **params)
+    """Add a user-defined functional family under the string ``name``,
+    which :func:`functional_from_config` then builds; returns ``name``.  A
+    name is registered once."""
+    if not isinstance(name, str):
+        raise FunctionalConfigError(f"functional name must be a string, got {name!r}")
+    if name in _FACTORIES:
+        raise FunctionalConfigError(f"functional {name!r} already registered")
+    _FACTORIES[name] = factory
+    return name
 
 
 def functional_from_config(config: Mapping[str, Any]) -> Functional:
@@ -531,7 +484,10 @@ def functional_from_config(config: Mapping[str, Any]) -> Functional:
     if "name" not in config:
         raise FunctionalConfigError("functional spec is missing `name`")
     name = config["name"]
-    factory = REGISTRY.factory(name)
+    if not isinstance(name, str) or name not in _FACTORIES:
+        known = ", ".join(sorted(_FACTORIES))
+        raise FunctionalConfigError(f"unknown functional {name!r} (known: {known})")
+    factory = _FACTORIES[name]
     parameters = inspect.signature(factory).parameters
     allowed = set(parameters)
     required = {k for k, p in parameters.items() if p.default is p.empty}

@@ -9,6 +9,7 @@ Oracle checklist:
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,22 @@ def test_schedule_rejects_a_ratio_power_that_underflows(ratio, count):
     # steps() divides by ratio ** (count - 1)
     with pytest.raises(EstimatorError, match="underflow"):
         StepSchedule(ratio=ratio, count=count)
+
+
+# Values of a wrong type: each raised TypeError or OverflowError here once.
+WRONG_TYPES = [("eps0", "0.1"), ("eps0", None), ("eps0", 10 ** 400), ("eps0", [0.1]),
+               ("eps0", 0.1j), ("ratio", "0.5"), ("ratio", None), ("ratio", [0.5]),
+               ("ratio", 0.5j)]
+FIELD_MESSAGES = {"eps0": "eps0 must be positive and finite",
+                  "ratio": r"ratio must lie in \(0, 1\)"}
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES,
+                         ids=[f"{f}-{type(v).__name__}" for f, v in WRONG_TYPES])
+def test_schedule_rejects_a_value_of_a_wrong_type_with_its_field_message(field, value):
+    message = f"^{FIELD_MESSAGES[field]}, got {re.escape(repr(value))}$"
+    with pytest.raises(EstimatorError, match=message):
+        StepSchedule(**{field: value})
 
 
 def test_schedule_policy_is_checked_when_built():

@@ -1,4 +1,4 @@
-"""Built-in functionals, closed forms, and the registry.
+"""Built-in functionals, closed forms, and the name -> factory table.
 
 Oracle checklist:
 - Closed-form derivatives validated against a plain central difference of
@@ -13,20 +13,19 @@ import pytest
 
 from lionsderiv import (
     DiscreteMeasure,
+    Functional,
     FunctionalConfigError,
-    FunctionalRegistry,
     NoClosedFormError,
     PotentialSpec,
-    REGISTRY,
     functional_from_config,
     law_of,
-    lookup,
     make_interaction,
     make_linear,
     make_measure,
     make_mean_square,
     make_sample,
     make_variance,
+    register,
 )
 
 import lionsderiv.functionals as functionals_module
@@ -195,30 +194,97 @@ def test_potential_degree_cap():
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: register and functional_from_config
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def factories(monkeypatch):
+    """A private copy of the name -> factory table, so that no test leaves
+    a name registered."""
+    monkeypatch.setattr(functionals_module, "_FACTORIES", dict(functionals_module._FACTORIES))
+
+
 def test_registry_round_trip():
-    f = lookup("linear", phi=(0.0, 0.0, 1.0))
-    again = lookup("linear", phi=(0.0, 0.0, 1.0))
+    f = functional_from_config({"name": "linear", "phi": [0.0, 0.0, 1.0]})
+    again = functional_from_config({"name": "linear", "phi": [0.0, 0.0, 1.0]})
     assert f == again
     assert f == make_linear([0.0, 0.0, 1.0])
 
 
 def test_registry_unknown_name():
     with pytest.raises(FunctionalConfigError):
-        lookup("nonexistent")
+        functional_from_config({"name": "nonexistent"})
 
 
 def test_registry_builtin_set():
-    assert REGISTRY.names() == ("interaction", "linear", "mean_square", "variance")
+    with pytest.raises(FunctionalConfigError, match=r"\(known: interaction, linear, "
+                                                    r"mean_square, variance\)$"):
+        functional_from_config({"name": "nonexistent"})
 
 
-def test_registry_rejects_duplicates():
-    reg = FunctionalRegistry()
-    reg.register("custom", make_variance)
-    with pytest.raises(FunctionalConfigError):
-        reg.register("custom", make_variance)
+def test_registry_rejects_duplicates(factories):
+    assert register("custom", make_variance) == "custom"
+    with pytest.raises(FunctionalConfigError, match="'custom' already registered"):
+        register("custom", make_variance)
+
+
+def shifted_variance(offset, scale=(1.0,)):
+    """A user family: variance plus a constant, with one required and one
+    optional parameter."""
+    base = make_variance()
+    return Functional(name="shifted_variance", params={"offset": offset, "scale": scale},
+                      evaluate=lambda mu: scale[0] * base(mu) + offset[0])
+
+
+def test_a_registered_family_is_built_from_its_config(factories):
+    assert register("shifted_variance", shifted_variance) == "shifted_variance"
+    f = functional_from_config({"name": "shifted_variance", "offset": [2]})
+    assert f == shifted_variance((2.0,))
+    assert f.params == {"offset": (2.0,), "scale": (1.0,)}
+    assert f(HALF_HALF) == 2.25
+    g = functional_from_config({"name": "shifted_variance", "offset": [0], "scale": [4]})
+    assert g(HALF_HALF) == 1.0
+    with pytest.raises(FunctionalConfigError, match=r"known: .*, shifted_variance,"):
+        functional_from_config({"name": "nope"})
+
+
+def test_register_rejects_a_second_family_and_a_built_in_name(factories):
+    register("shifted_variance", shifted_variance)
+    with pytest.raises(FunctionalConfigError,
+                       match=r"^functional 'shifted_variance' already registered$"):
+        register("shifted_variance", make_variance)
+    for name in ("linear", "mean_square", "variance", "interaction"):
+        with pytest.raises(FunctionalConfigError,
+                           match=rf"^functional '{name}' already registered$"):
+            register(name, shifted_variance)
+    assert functional_from_config({"name": "variance"}) == make_variance()
+    assert functional_from_config({"name": "shifted_variance", "offset": [1]}).params[
+        "offset"] == (1.0,)
+
+
+def test_a_registered_family_checks_its_config_keys(factories):
+    register("shifted_variance", shifted_variance)
+    with pytest.raises(FunctionalConfigError,
+                       match=r"^functional 'shifted_variance' requires keys: \['offset'\]$"):
+        functional_from_config({"name": "shifted_variance", "scale": [2]})
+    with pytest.raises(FunctionalConfigError,
+                       match=r"^unknown keys for functional 'shifted_variance': \['w'\]$"):
+        functional_from_config({"name": "shifted_variance", "offset": [1], "w": [1]})
+
+
+def test_register_takes_only_a_string_name(factories):
+    # A name of another type would break the sorted list of known names.
+    with pytest.raises(FunctionalConfigError, match=r"^functional name must be a string, got 5$"):
+        register(5, make_variance)
+    with pytest.raises(FunctionalConfigError, match=r"^unknown functional 'nope' \(known: "):
+        functional_from_config({"name": "nope"})
+
+
+def test_the_table_is_restored_after_a_registering_test():
+    with pytest.raises(FunctionalConfigError, match="unknown functional 'custom'"):
+        functional_from_config({"name": "custom"})
+    with pytest.raises(FunctionalConfigError, match="unknown functional 'shifted_variance'"):
+        functional_from_config({"name": "shifted_variance", "offset": [1]})
 
 
 # ---------------------------------------------------------------------------

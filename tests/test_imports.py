@@ -3,14 +3,24 @@ function, class and constant is read: a name an edit stops using fails
 here, with no linter installed.  A name counts as read where a module of
 the package reads it, imports it from another, or lists it in ``__all__``.
 The package's ``__init__`` is exempt from the import check: each of its
-imports is an export."""
+imports is an export.
+
+The benchmark's span tracer patches functions by name and reads some of
+their arguments by position and name; every name it relies on exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lionsderiv"
+from lionsderiv import Functional
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "lionsderiv"
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -90,3 +100,31 @@ def test_an_unread_definition_is_reported():
     }
     assert _unread_definitions(sources) == [
         "a.py line 4: Alias", "a.py line 5: Orphan"]
+
+
+# span name -> {position: name} of each argument the tracer's counters read
+TRACER_ARGUMENTS = {
+    "measure.make_measure": {0: "atoms", 1: "weights"},
+    "measure.read_sample_file": {0: "path"},
+    "estimator.lions_derivative_grid": {2: "level"},
+    "estimator.g_tilde_values": {1: "xs"},
+    "functionals.evaluate": {1: "mu"},
+}
+
+
+def test_the_benchmark_tracer_patches_what_the_package_defines(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    functions, methods = tracer.FUNCTION_SPANS, tracer.METHOD_SPANS
+    traced = {span: getattr(importlib.import_module(f"lionsderiv.{module}"), attr, None)
+              for span, (module, attr, _, _) in functions.items()}
+    traced |= {span: Functional.__dict__.get(attr) for span, (attr, _) in methods.items()}
+    assert [span for span, fn in traced.items() if not callable(fn)] == []
+    counted = ({span for span, (_, _, before, _) in functions.items() if before}
+               | {span for span, (_, before) in methods.items() if before})
+    assert counted == TRACER_ARGUMENTS.keys()
+    for span, arguments in TRACER_ARGUMENTS.items():
+        parameters = list(inspect.signature(traced[span]).parameters)
+        assert {i: parameters[i] for i in arguments} == arguments, span
