@@ -272,7 +272,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     reports = [
         check_structure(f, sample, est, seed=cfg.seed),
         check_law_invariance(f, sample, est, seed=(cfg.seed + 1) % 2 ** 64),
-        check_mass_linearity(f, est.law, heaviest, schedule=est.schedule),
+        check_mass_linearity(f, est, heaviest),
     ]
     try:
         reports.append(check_against_oracle(f, est))

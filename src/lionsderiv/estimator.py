@@ -234,29 +234,13 @@ def _check_index(mu: DiscreteMeasure, i: int) -> int:
     return i
 
 
-def _moved(mu: DiscreteMeasure, i: int, eps: float) -> float:
-    """Atom i of ``mu`` moved by ``eps``; a probe failure where that leaves
-    the float range."""
-    with np.errstate(over="ignore"):
-        y = mu.atoms[i] + eps
-    if not np.isfinite(y):
-        raise ProbeFailureError(f"atom {i} moved by {eps!r} leaves the float range")
-    return y
-
-
-def _shifted(mu: DiscreteMeasure, i: int, eps: float) -> DiscreteMeasure:
-    atoms = np.array(mu.atoms)
-    atoms[i] = _moved(mu, i, eps)
-    return make_measure(atoms, mu.weights)
-
-
 def _known_shift_values(f, mu: DiscreteMeasure, indices: np.ndarray,
                         shifts: np.ndarray) -> np.ndarray:
     """f at each one-atom shift of ``mu`` that stays inside its gap, from
     one call of f's ``shift_evaluator``; NaN where it declines and at the
     other probes.  Probe (r, j) moves atom ``indices[r]`` by
-    ``shifts[r, j]``; inside its gap its measure, ``_shifted(mu, i, eps)``,
-    is ``mu`` with that atom moved and the same weights.
+    ``shifts[r, j]``; inside its gap its measure, ``_mass_moved(mu, i, 1.0,
+    eps)``, is ``mu`` with that atom moved and the same weights.
     """
     values = np.full(shifts.shape, math.nan)
     shift_evaluator = getattr(f, "shift_evaluator", None)
@@ -275,15 +259,18 @@ def _known_shift_values(f, mu: DiscreteMeasure, indices: np.ndarray,
 
 
 def _mass_moved(mu: DiscreteMeasure, i: int, frac: float, eps: float) -> DiscreteMeasure:
-    if frac == 1.0:
-        return _shifted(mu, i, eps)
+    """``mu`` with the fraction ``frac`` of atom i's mass moved by ``eps``;
+    a probe failure where that leaves the float range.  At ``frac`` 1, atom
+    i keeps weight 0, which ``make_measure`` drops: the Dirac shift."""
+    with np.errstate(over="ignore"):
+        y = mu.atoms[i] + eps
+    if not np.isfinite(y):
+        raise ProbeFailureError(f"atom {i} moved by {eps!r} leaves the float range")
     p = float(mu.weights[i])
     moved = frac * p
-    atoms = np.append(mu.atoms, _moved(mu, i, eps))
     weights = np.array(mu.weights)
     weights[i] = p - moved
-    weights = np.append(weights, moved)
-    return make_measure(atoms, weights)
+    return make_measure(np.append(mu.atoms, y), np.append(weights, moved))
 
 
 def _finite(value: float, context: str) -> float:
@@ -396,7 +383,7 @@ def _shift_quotients(f, mu: DiscreteMeasure, indices: np.ndarray,
     return _quotients(
         shifts, mu.weights[indices], schedule.mode,
         lambda: _finite(f(mu), "the unperturbed measure"),
-        lambda r, j: f(_shifted(mu, indices[r], shifts[r, j])),
+        lambda r, j: f(_mass_moved(mu, indices[r], 1.0, shifts[r, j])),
         lambda r, j: f"atom {indices[r]} shifted by {shifts[r, j].item()!r}",
         _known_shift_values(f, mu, indices, shifts))
 

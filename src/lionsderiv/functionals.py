@@ -472,9 +472,10 @@ def register(name: str, factory: Callable[..., Functional]) -> str:
 def functional_from_config(config: Mapping[str, Any]) -> Functional:
     """Build a registered functional from its JSON configuration form.
 
-    The keys besides ``name`` are the parameters of the registered factory,
-    each a non-empty list of numbers; parameters without a default are
-    required, unknown keys are rejected.  For the built-ins:
+    The keys besides ``name`` are the named parameters of the registered
+    factory, not its ``*args`` or ``**kwargs``, each a non-empty list of
+    numbers; parameters without a default are required, unknown keys are
+    rejected.  For the built-ins:
     ``{"name": "variance"}``, ``{"name": "mean_square"}``,
     ``{"name": "linear", "phi": [c0, c1, ...]}``,
     ``{"name": "interaction", "w": [c0, c1, ...]}``.
@@ -488,7 +489,8 @@ def functional_from_config(config: Mapping[str, Any]) -> Functional:
         known = ", ".join(sorted(_FACTORIES))
         raise FunctionalConfigError(f"unknown functional {name!r} (known: {known})")
     factory = _FACTORIES[name]
-    parameters = inspect.signature(factory).parameters
+    parameters = {k: p for k, p in inspect.signature(factory).parameters.items()
+                  if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)}
     allowed = set(parameters)
     required = {k for k, p in parameters.items() if p.default is p.empty}
     extra = set(config) - allowed - {"name"}

@@ -9,8 +9,9 @@ maximum criterion/tolerance ratio against a tolerance of 1.
 
 Tolerances are tied to the scheme's own error model: structural comparisons
 use max(1e-6, 4x the reported extrapolation error estimates), oracle
-comparisons use functional-specific truncation bounds.  A check given a
-:class:`DerivativeEstimate` reads the law and schedule it was computed at.
+comparisons use functional-specific truncation bounds.  Each check takes the
+:class:`DerivativeEstimate` it tests and reads the law and schedule it was
+computed at.
 
 ``check_structure`` and ``check_law_invariance`` run their independent cases
 on every usable CPU (see ``_map_tasks``); their reports are the same bytes on
@@ -30,19 +31,16 @@ from .estimator import (
     DerivativeEstimate,
     Direction,
     ProbeFailureError,
-    StepSchedule,
     _check_index,
     _level_grids,
     _on_cells,
     directional_derivative,
     g_tilde_values,
-    lions_derivative_at_atom,
     lions_derivative_grid,
     partial_mass_perturbation,
 )
 from .functionals import Functional, PotentialSpec
 from .measure import (
-    DiscreteMeasure,
     EmpiricalSample,
     _exact_sum,
     _weighted_l2,
@@ -320,30 +318,32 @@ def check_law_invariance(f: Functional, sample: EmpiricalSample,
     return _finish("law_invariance", worst, 0.0, cases, details)
 
 
-def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
-                           fractions: Iterable[float] = (0.25, 0.5, 0.75, 1.0),
-                           schedule: StepSchedule | None = None) -> VerificationReport:
+def check_mass_linearity(f: Functional, est: DerivativeEstimate, i: int,
+                         fractions: Iterable[float] = (0.25, 0.5, 0.75, 1.0)
+                         ) -> VerificationReport:
     """Moved-mass derivative is linear through the origin in the moved mass.
 
-    Fits value = slope * (q * p_i) over the fractions and reports (a) the
-    maximum relative fit residual against 1e-6 and (b) the fitted slope
-    against the atom derivative within max(1e-6, 4x combined error
+    Probes atom i of ``est.law`` under ``est.schedule``, fits value =
+    slope * (q * p_i) over the fractions and reports (a) the maximum
+    relative fit residual against 1e-6 and (b) the fitted slope against
+    the estimate's atom derivative within max(1e-6, 4x combined error
     estimates).  Discrepancy is the worst criterion ratio; tolerance 1.  A
-    failed probe reads as NaN, so the check fails.  Raises
-    :class:`EstimatorError` where ``i`` is not an atom index of ``mu``.
+    failed probe reads as NaN, and so does an atom the estimate flags, so
+    the check fails.  Raises :class:`EstimatorError` where ``i`` is not an
+    atom index of ``est.law``.
     """
+    mu = est.law
     i = _check_index(mu, i)
-    schedule = schedule if schedule is not None else StepSchedule()
     fractions = tuple(float(q) for q in fractions)
     if not fractions:
         raise ValueError("need at least one mass fraction")
     p = float(mu.weights[i])
     masses = [q * p for q in fractions]
+    g_hat, g_err = float(est.g_values[i]), float(est.error_estimates[i])
     try:
-        values = [partial_mass_perturbation(f, mu, i, q, schedule) for q in fractions]
-        g_hat, g_err = lions_derivative_at_atom(f, mu, i, schedule)
+        values = [partial_mass_perturbation(f, mu, i, q, est.schedule) for q in fractions]
     except ProbeFailureError:
-        values, g_hat, g_err = [math.nan] * len(fractions), math.nan, math.nan
+        values = [math.nan] * len(fractions)
     squares = _exact_sum(np.multiply(masses, masses))  # 0 where the masses underflow
     slope = _exact_sum(np.multiply(values, masses)) / squares if squares else math.nan
     scale = max(max(abs(v) for v in values), _TINY)
@@ -354,7 +354,7 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
 
     residual_ratio = residual / 1e-6
     slope_ratio = slope_gap / slope_tol
-    discrepancy = max(residual_ratio, slope_ratio)
+    discrepancy = float(np.maximum(residual_ratio, slope_ratio))  # NaN where either is
     cases = [
         {"fraction": q, "moved_mass": m, "value": float(v),
          "fitted": float(slope * m), "residual": float(v - slope * m)}
@@ -371,7 +371,7 @@ def check_mass_linearity(f: Functional, mu: DiscreteMeasure, i: int,
         "fit_residual_tolerance": 1e-6,
         "slope_gap": float(slope_gap),
         "slope_tolerance": float(slope_tol),
-        "schedule": asdict(schedule),
+        "schedule": asdict(est.schedule),
     }
     return _finish("mass_linearity", discrepancy, 1.0, cases, details)
 

@@ -272,6 +272,21 @@ def test_a_registered_family_checks_its_config_keys(factories):
         functional_from_config({"name": "shifted_variance", "offset": [1], "w": [1]})
 
 
+def test_a_factorys_star_parameters_are_no_config_keys(factories):
+    # **kw used to count as a required key named "kw".
+    register("scaled", lambda **kw: make_variance())
+    assert functional_from_config({"name": "scaled"}) == make_variance()
+    with pytest.raises(FunctionalConfigError,
+                       match=r"^unknown keys for functional 'scaled': \['kw'\]$"):
+        functional_from_config({"name": "scaled", "kw": [1]})
+    register("gathered", lambda *args, offset=(0.0,): shifted_variance(offset))
+    assert functional_from_config({"name": "gathered", "offset": [2]}).params == {
+        "offset": (2.0,), "scale": (1.0,)}
+    with pytest.raises(FunctionalConfigError,
+                       match=r"^unknown keys for functional 'gathered': \['args'\]$"):
+        functional_from_config({"name": "gathered", "args": [1]})
+
+
 def test_register_takes_only_a_string_name(factories):
     # A name of another type would break the sorted list of known names.
     with pytest.raises(FunctionalConfigError, match=r"^functional name must be a string, got 5$"):

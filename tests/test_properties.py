@@ -33,7 +33,7 @@ from lionsderiv import (
     wasserstein2,
 )
 from lionsderiv import functionals, measure
-from lionsderiv.estimator import STEP_FLOOR, _shifted
+from lionsderiv.estimator import STEP_FLOOR, _mass_moved
 from lionsderiv.functionals import _resums
 from lionsderiv.measure import (_certified_sum, _exact_parts, _exact_sum, _split_sum,
                                _weighted_l2)
@@ -205,22 +205,31 @@ builtins = st.one_of(
 )
 
 
+_QUARTER_THREE_QUARTERS = make_measure([0.0, 1.0], [0.25, 0.75])
+
+
 @given(shift_cases())
+@example((_QUARTER_THREE_QUARTERS, 0, 1.0))  # onto the neighbour: they merge
+@example((_QUARTER_THREE_QUARTERS, 0, 2.0))  # past the neighbour
 @settings(max_examples=300, deadline=None)
 def test_shift_probe_measure_is_bitwise_make_measure(case):
-    # The shift evaluator's values are defined on the canonical form of mu
-    # with one atom moved inside its gap; the estimator's full probe of the
-    # same shift is _shifted, which canonicalizes through make_measure.
+    # The estimator's full probe of a shift moves the atom's whole mass:
+    # the canonical form of mu with that atom moved, also where it merges
+    # with or crosses a neighbour.  Inside its gap that is mu with the atom
+    # moved and the same weights, which the shift evaluator's values are
+    # defined on.
     mu, i, step = case
     canon = make_measure(mu.atoms, mu.weights)
     atoms = np.array(canon.atoms)
     atoms[i] = atoms[i] + step + 0.0
-    if not (math.isfinite(atoms[i]) and (i == 0 or atoms[i - 1] < atoms[i])
+    got = _mass_moved(mu, i, 1.0, step)
+    want = make_measure(atoms, canon.weights)
+    assert _bits(got.atoms) == _bits(want.atoms)
+    assert _bits(got.weights) == _bits(want.weights)
+    if ((i == 0 or atoms[i - 1] < atoms[i])
             and (i + 1 == mu.n_atoms or atoms[i] < atoms[i + 1])):
-        return
-    got = _shifted(mu, i, step)
-    assert _bits(got.atoms) == _bits(atoms)
-    assert _bits(got.weights) == _bits(canon.weights)
+        assert _bits(got.atoms) == _bits(atoms)
+        assert _bits(got.weights) == _bits(canon.weights)
 
 
 @st.composite
@@ -769,7 +778,7 @@ def test_interaction_is_fsum_over_the_full_matrix(mu, coeffs):
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
 
 
-@pytest.mark.parametrize("coeffs", [[0, 0, 1e307], [0, 1e307], [1e300, -1e307, 1e307]])
+@pytest.mark.parametrize("coeffs", [[0, 0, 1e307], [0, 1e307], [1e300, -1e307, 1e307], [1e308]])
 @pytest.mark.parametrize("gap", [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.8, 1.5, 4.2, 4.3, 6.0])
 @pytest.mark.parametrize("n_atoms", [2, 3, 5])
 def test_interaction_near_the_overflow_threshold_is_fsum_or_nan(coeffs, gap, n_atoms):

@@ -23,10 +23,10 @@ from lionsderiv import (
     check_structure,
     convergence_study,
     law_of,
+    lions_derivative_at_atom,
     lions_derivative_grid,
     make_interaction,
     make_linear,
-    make_measure,
     make_mean_square,
     make_sample,
     make_variance,
@@ -38,7 +38,6 @@ from lionsderiv import measure, verify
 from conftest import random_sample
 
 VARIANCE = make_variance()
-HALF_HALF = make_measure([0.0, 1.0], [0.5, 0.5])
 
 
 def balanced_binary_sample(n=256):
@@ -193,6 +192,23 @@ def test_estimate_gap_is_taken_over_the_atoms_both_estimates_computed(dg, de):
     assert verify._estimate_gap(est, moved) == want
 
 
+@pytest.mark.parametrize("values, level", [([0.0, 0.5], 3), ([0.0, 0.75], 2)])
+def test_estimate_gap_is_inf_between_different_grids(values, level):
+    est = lions_derivative_grid(VARIANCE, make_sample([0.0, 0.5]), 2)
+    other = lions_derivative_grid(VARIANCE, make_sample(values), level)
+    assert verify._estimate_gap(est, other) == verify._estimate_gap(other, est) == math.inf
+
+
+def test_estimate_gap_is_inf_between_different_failed_atoms():
+    # Same level and grid atoms; only one estimate fails at atom 0.
+    sample = make_sample([0.0, 0.5])
+    est = lions_derivative_grid(FAILS_AT_ATOM_0, sample, 2)
+    other = lions_derivative_grid(VARIANCE, sample, 2)
+    assert est.failed_atoms == (0,) and other.failed_atoms == ()
+    assert np.array_equal(est.grid_atoms, other.grid_atoms)
+    assert verify._estimate_gap(est, other) == verify._estimate_gap(other, est) == math.inf
+
+
 def test_law_invariance_fails_on_a_gap_beside_a_failed_atom():
     # Every transform's grid is the sample's, so each gap is atom 1's 1e-9.
     sample = make_sample([0.0, 0.5])
@@ -217,8 +233,22 @@ def test_law_invariance_keeps_a_nan_gap(monkeypatch):
 # mass linearity
 # ---------------------------------------------------------------------------
 
+def _estimate(f, sample, level, schedule=None):
+    """``f``'s grid of ``sample`` at ``level``, whose dyadic grid holds the
+    sample's values, so that its law is the sample's; ``schedule`` defaults
+    to ``StepSchedule()``."""
+    est = lions_derivative_grid(f, sample, level, schedule or StepSchedule())
+    law = law_of(sample)
+    assert np.array_equal(est.law.atoms, law.atoms)
+    assert np.array_equal(est.law.weights, law.weights)
+    return est
+
+
+HALF_HALF_SAMPLE = make_sample([0.0, 1.0])
+
+
 def test_mass_linearity_variance_hand_values():
-    report = check_mass_linearity(VARIANCE, HALF_HALF, 1)
+    report = check_mass_linearity(VARIANCE, _estimate(VARIANCE, HALF_HALF_SAMPLE, 0), 1)
     assert report.status == "pass"
     values = [case["value"] for case in report.cases]
     assert values == pytest.approx([0.125, 0.25, 0.375, 0.5], abs=1e-9)
@@ -228,7 +258,7 @@ def test_mass_linearity_variance_hand_values():
 
 def test_mass_linearity_constant_functional():
     f = make_linear([2.5])
-    report = check_mass_linearity(f, HALF_HALF, 0)
+    report = check_mass_linearity(f, _estimate(f, HALF_HALF_SAMPLE, 0), 0)
     assert report.status == "pass"
     assert all(case["value"] == 0.0 for case in report.cases)
     assert report.details["fitted_slope"] == 0.0
@@ -241,32 +271,54 @@ def test_mass_linearity_constant_functional():
     make_interaction([0.0, 0.0, 0.5]),
 ])
 def test_mass_linearity_all_builtins_default_schedule(f):
-    mu = make_measure([-0.5, 0.25, 1.0], [0.25, 0.5, 0.25])
-    report = check_mass_linearity(f, mu, 1)
+    sample = make_sample([-0.5, 0.25, 1.0], [0.25, 0.5, 0.25])
+    est = _estimate(f, sample, 2)
+    report = check_mass_linearity(f, est, 1)
     assert report.status == "pass"
     assert report.details["fit_residual_relative"] <= 1e-6
+    # The atom derivative is the grid's, which probing the atom on its own
+    # reproduces bit for bit.
+    g, err = lions_derivative_at_atom(f, est.law, 1, est.schedule)
+    assert report.details["atom_derivative"] == est.g_values[1] == g
+    assert report.details["atom_derivative_error"] == est.error_estimates[1] == err
 
 
 @pytest.mark.parametrize("i", [2, -1])
 def test_mass_linearity_rejects_an_atom_index_out_of_range(i):
     # 2 used to reach numpy's IndexError before any check
     with pytest.raises(EstimatorError, match=f"atom index {i} out of range"):
-        check_mass_linearity(VARIANCE, HALF_HALF, i)
+        check_mass_linearity(VARIANCE, _estimate(VARIANCE, HALF_HALF_SAMPLE, 0), i)
 
 
 def test_mass_linearity_fails_with_nan_when_a_probe_fails():
-    mu = law_of(make_sample([1e308, -1e308, 1e308]))
-    report = check_mass_linearity(VARIANCE, mu, 1)
+    est = _estimate(VARIANCE, make_sample([1e308, -1e308, 1e308]), 0)
+    report = check_mass_linearity(VARIANCE, est, 1)
     assert report.status == "fail" and math.isnan(report.discrepancy)
     assert math.isnan(report.details["atom_derivative"])
+    assert all(math.isnan(case["value"]) for case in report.cases)
 
 
 def test_mass_linearity_fails_with_nan_when_the_squared_masses_underflow():
-    # the moved masses square to 0, which used to raise ZeroDivisionError
-    mu = law_of(make_sample([0.1, 0.7]))
-    report = check_mass_linearity(VARIANCE, mu, 0, fractions=(1e-170,))
+    # the moved masses square to 0, which used to raise ZeroDivisionError;
+    # the level-55 grid holds 0.1 and 0.7
+    est = _estimate(VARIANCE, make_sample([0.1, 0.7]), 55)
+    report = check_mass_linearity(VARIANCE, est, 0, fractions=(1e-170,))
     assert report.status == "fail" and math.isnan(report.discrepancy)
     assert math.isnan(report.details["fitted_slope"])
+
+
+def test_mass_linearity_fails_with_nan_at_an_atom_the_floor_flags():
+    # At 1e6 the step floor raises level 20's steps to 1e-3 .. 8e-3, past
+    # the gap 2^-20 to the neighbour, so the grid flags both atoms.  The
+    # moved-mass probes know no such rule and give finite values; the
+    # flagged atom derivative still fails the check.
+    est = lions_derivative_grid(VARIANCE, make_sample([1e6, 1e6 + 2.0 ** -20]), 20)
+    assert est.failed_atoms == (0, 1)
+    report = check_mass_linearity(VARIANCE, est, 0)
+    assert all(math.isfinite(case["value"]) for case in report.cases)
+    assert report.status == "fail" and math.isnan(report.discrepancy)
+    assert math.isnan(report.details["atom_derivative"])
+    assert math.isnan(report.details["atom_derivative_error"])
 
 
 def test_mass_linearity_fails_under_abusive_schedule():
@@ -274,8 +326,9 @@ def test_mass_linearity_fails_under_abusive_schedule():
     # moved-mass terms survive extrapolation and break the 1e-6 fit residual
     f = make_interaction([0.0, 0.0, 0.0, 0.0, 1.0])
     sched = StepSchedule(eps0=8.0, count=2, mode="one_sided")
-    report = check_mass_linearity(f, HALF_HALF, 1, schedule=sched)
+    report = check_mass_linearity(f, _estimate(f, HALF_HALF_SAMPLE, 0, sched), 1)
     assert report.status == "fail"
+    assert report.details["schedule"] == dataclasses.asdict(sched)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +635,7 @@ def test_reports_serialize_to_json():
     for report in (
         check_structure(VARIANCE, sample, est, directions=2, seed=0),
         check_law_invariance(VARIANCE, sample, est, transforms=2, seed=0),
-        check_mass_linearity(VARIANCE, HALF_HALF, 1),
+        check_mass_linearity(VARIANCE, _estimate(VARIANCE, HALF_HALF_SAMPLE, 0), 1),
         check_against_oracle(VARIANCE, est),
     ):
         payload = json.dumps(report.to_dict())
