@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measure import (DiscreteMeasure, _certified_sum, _exact_parts, _exact_sum,
-                      _fsum_or_nan, _partials, _split_sum, mean)
+                      _fsum_or_nan, _in_range, _partials, _split_sum, mean)
 
 __all__ = [
     "Functional",
@@ -280,28 +280,34 @@ def _pair_blocks(weights: np.ndarray, atoms: np.ndarray):
     each pair once, in one of its two orders: j with j + s mod M for
     s = 1..(M-1)//2, then, for even M, j with j + M/2 for j < M/2.  This
     circulant order makes every block a broadcast over strided views.  The
-    blocks are views of two buffers, which the next block overwrites."""
+    blocks are views of two buffers, which the next block overwrites.
+    Where all weights are equal, p_j*p_k is p*p bit for bit, and every
+    block holds that one float in place of the products."""
     m = atoms.size
     h = (m - 1) // 2
-    products = np.empty(_pair_block_size(m))
-    gaps = np.empty(products.size)
+    gaps = np.empty(_pair_block_size(m))
+    equal = np.all(weights == weights[0])
+    products = None if equal else np.empty(gaps.size)
+
+    def times(left, right, g):
+        if equal:
+            return float(weights[0] * weights[0])
+        return np.multiply(left, right, out=products[:g.size].reshape(g.shape))
+
     if h:
         later_atoms = sliding_window_view(np.concatenate((atoms[1:], atoms[:h])), h)
         later_weights = sliding_window_view(np.concatenate((weights[1:], weights[:h])), h)
         rows = max(1, _PAIR_BLOCK // h)
         for a in range(0, m, rows):
             n = min(rows, m - a)
-            p = products[:n * h].reshape(n, h)
             g = gaps[:n * h].reshape(n, h)
-            np.multiply(weights[a:a + n, None], later_weights[a:a + n], out=p)
             np.subtract(atoms[a:a + n, None], later_atoms[a:a + n], out=g)
-            yield p, g
+            yield times(weights[a:a + n, None], later_weights[a:a + n], g), g
     if m % 2 == 0:
         half = m // 2
-        p, g = products[:half], gaps[:half]
-        np.multiply(weights[:half], weights[half:], out=p)
+        g = gaps[:half]
         np.subtract(atoms[:half], atoms[half:], out=g)
-        yield p, g
+        yield times(weights[:half], weights[half:], g), g
 
 
 def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Functional:
@@ -326,12 +332,32 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
     dw = spec.derivative()
     even = not any(spec.coefficients[1::2])
     odd = not any(spec.coefficients[0::2])
+    *lower, leading = spec.coefficients
+
+    def pair_terms(gaps: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``spec.values(gaps, out=out)`` up to the signs of zeros: Horner's
+        rule from the leading coefficient c_d, adding no zero coefficient.
+        For a finite gap Horner's first step 0*x + c_d is c_d, and adding a
+        zero changes at most the sign of a zero, which the exact sums of
+        the pair terms do not see (a block of zeros alone sums to +0.0).  A
+        gap that is not finite still gives a value that is not finite: a
+        degree-0 kernel keeps 0*x + c."""
+        if not lower:
+            return spec.values(gaps, out=out)
+        np.multiply(gaps, leading, out=out)
+        for k, c in enumerate(reversed(lower)):
+            if k:
+                np.multiply(out, gaps, out=out)
+            if c:
+                np.add(out, c, out=out)
+        return out
 
     def pair_parts(mu: DiscreteMeasure, reduce: Callable) -> list | None:
         """``reduce(terms, count, scratch)`` of the diagonal and of each
         block of pair terms, listed once for each time those terms count in
-        the M x M sum; None where any ``reduce`` is None.  ``reduce`` is
-        :func:`~lionsderiv.measure._split_sum`, or
+        the M x M sum; None where any ``reduce`` is None, or where an odd
+        kernel's pair terms, which add nothing, are not finite or come near
+        overflow.  ``reduce`` is :func:`~lionsderiv.measure._split_sum`, or
         :func:`~lionsderiv.measure._exact_parts` by way of
         ``pair_partials``, with ``count`` all M^2 terms."""
         atoms, weights = mu.atoms, mu.weights
@@ -343,21 +369,29 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
         scratch = np.empty(size)
 
         def block(products, gaps):
-            terms = spec.values(gaps, out=block_terms[:gaps.size].reshape(gaps.shape))
-            return reduce(np.multiply(products, terms, out=terms), count, scratch)
+            terms = pair_terms(gaps, block_terms[:gaps.size].reshape(gaps.shape))
+            return np.multiply(products, terms, out=terms)
 
         with np.errstate(over="ignore", invalid="ignore"):
             parts = [reduce((weights * weights) * spec.values(atoms - atoms), count, scratch)]
             if parts[0] is None:
                 return None
             for products, gaps in _pair_blocks(weights, atoms):
-                part = block(products, gaps)
+                terms = block(products, gaps)
+                if odd:  # the swapped terms cancel these: check the range only
+                    top = np.maximum.reduce(np.abs(terms, out=scratch[:terms.size]
+                                                   .reshape(terms.shape)), axis=None)
+                    if not _in_range(float(top), count):
+                        return None
+                    continue
+                part = reduce(terms, count, scratch)
                 if part is None:
                     return None
                 if even:
                     parts += (part, part)
-                elif not odd:  # an odd kernel's swapped terms cancel these
-                    swapped = block(products, np.negative(gaps, out=gaps))
+                else:
+                    swapped = reduce(block(products, np.negative(gaps, out=gaps)),
+                                     count, scratch)
                     if swapped is None:
                         return None
                     parts += (part, swapped)

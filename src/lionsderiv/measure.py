@@ -262,10 +262,16 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
     keep = masses > 0.0
     atoms_arr, weights_arr = a[starts[keep]], masses[keep]
 
-    merged_total = _exact_sum(weights_arr)
+    # Where nothing merges or drops, the weights are the input's, permuted.
+    merged_total = total if weights_arr.size == w.size else _exact_sum(weights_arr)
     if merged_total != total or abs(merged_total - 1.0) > CANONICAL_SUM_TOLERANCE:
-        weights_arr = weights_arr / merged_total
-    return DiscreteMeasure(atoms_arr, weights_arr)
+        return DiscreteMeasure(atoms_arr, weights_arr / merged_total)
+    # The pair meets DiscreteMeasure's invariants as it is: sorted distinct
+    # atoms, positive weights whose exact sum lies within 1e-12 of 1.
+    mu = object.__new__(DiscreteMeasure)
+    object.__setattr__(mu, "atoms", _frozen(atoms_arr))
+    object.__setattr__(mu, "weights", _frozen(weights_arr))
+    return mu
 
 
 def make_sample(values: Sequence[float],

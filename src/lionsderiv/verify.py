@@ -216,7 +216,7 @@ def check_structure(f: Functional, sample: EmpiricalSample,
     lhs_values = _map_tasks(directional, directions, 1)[:, 0].tolist()
     cases = []
     rels = []
-    worst_err_bound = 0.0
+    err_bounds = []
     for idx, (eta, lhs) in enumerate(zip(etas, lhs_values)):
         with np.errstate(over="ignore", invalid="ignore"):
             pairing = weights * gvals * eta
@@ -224,19 +224,19 @@ def check_structure(f: Functional, sample: EmpiricalSample,
         rhs = _exact_sum(pairing)
         eta_norm = _weighted_l2(weights, eta)
         scale = g_norm * eta_norm  # left out when infinite: every rel would read 0
-        denom = max(abs(lhs), abs(rhs), scale if scale < math.inf else 0.0, _TINY)
+        denom = float(np.max([abs(lhs), abs(rhs), scale if scale < math.inf else 0.0, _TINY]))
         rel = abs(lhs - rhs) / denom
         err_bound = _exact_sum(spread) / denom
         rels.append(rel)
-        worst_err_bound = max(worst_err_bound, err_bound)
+        err_bounds.append(err_bound)
         cases.append({
             "direction": idx,
             "lhs_directional": float(lhs),
             "rhs_pairing": float(rhs),
             "relative_discrepancy": float(rel),
         })
-    worst = math.nan if any(math.isnan(r) for r in rels) else max(rels)
-    tolerance = max(1e-6, 4.0 * worst_err_bound)
+    worst = float(np.max(rels))  # NaN where any relative discrepancy is
+    tolerance = float(np.maximum(1e-6, 4.0 * float(np.max(err_bounds))))
     details = {
         "level": est.level.n,
         "directions": directions,
@@ -346,11 +346,11 @@ def check_mass_linearity(f: Functional, est: DerivativeEstimate, i: int,
         values = [math.nan] * len(fractions)
     squares = _exact_sum(np.multiply(masses, masses))  # 0 where the masses underflow
     slope = _exact_sum(np.multiply(values, masses)) / squares if squares else math.nan
-    scale = max(max(abs(v) for v in values), _TINY)
-    residual = max(abs(v - slope * m) for v, m in zip(values, masses)) / scale
+    scale = float(np.max(np.abs(values), initial=_TINY))
+    residual = float(np.max([abs(v - slope * m) for v, m in zip(values, masses)])) / scale
 
     slope_gap = abs(slope - g_hat)
-    slope_tol = max(1e-6 * max(1.0, abs(g_hat)), 4.0 * g_err)
+    slope_tol = float(np.maximum(1e-6 * np.maximum(1.0, abs(g_hat)), 4.0 * g_err))
 
     residual_ratio = residual / 1e-6
     slope_ratio = slope_gap / slope_tol
@@ -396,12 +396,12 @@ def _oracle_tolerance(f: Functional, est: DerivativeEstimate) -> tuple[float, st
         if d3 is not None:
             lo = float(est.grid_atoms.min())
             hi = float(est.grid_atoms.max())
-            steps = est.schedule.steps(at=max(abs(lo), abs(hi), 1.0))
+            steps = est.schedule.steps(at=float(np.max([abs(lo), abs(hi), 1.0])))
             bound = (1.5 * steps[-1] ** 2
                      * d3.max_abs_on(lo - steps[0], hi + steps[0]) / 6.0)
-            return max(bound, 1e-12), "central Taylor remainder bound, 50% slack"
+            return float(np.maximum(bound, 1e-12)), "central Taylor remainder bound, 50% slack"
     finite = est.error_estimates[np.isfinite(est.error_estimates)]
-    fallback = max(1e-6, 4.0 * float(finite.max(initial=0.0)))
+    fallback = float(np.maximum(1e-6, 4.0 * float(finite.max(initial=0.0))))
     return fallback, "generic: max(1e-6, 4x reported error estimates)"
 
 

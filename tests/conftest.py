@@ -6,8 +6,20 @@ functionals keep O(1) values.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from lionsderiv import law_of, make_measure, make_sample
+
+# Tier-1 runs Hypothesis's default profile, 100 examples where a property
+# names none.  ``--hypothesis-profile=tenfold`` runs ten times as many, also
+# for the properties that ask for their count through ``examples``.
+settings.register_profile("tenfold", max_examples=1000)
+
+
+def examples(n):
+    """``n`` examples under the default profile, scaled with the loaded
+    profile's ``max_examples``."""
+    return n * settings.default.max_examples // 100
 
 
 def random_measure(rng, max_atoms=16, lo=-2.0, hi=2.0, min_sep=1e-3):

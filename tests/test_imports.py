@@ -5,6 +5,10 @@ the package reads it, imports it from another, or lists it in ``__all__``.
 The package's ``__init__`` is exempt from the import check: each of its
 imports is an export.
 
+``verify.py`` folds floats with numpy only: the builtin ``max`` and
+``min`` drop a NaN or keep it depending on argument order, and a report's
+number is NaN where any input to it is.
+
 The benchmark's span tracer patches functions by name and reads some of
 their arguments by position and name; every name it relies on exists."""
 
@@ -100,6 +104,30 @@ def test_an_unread_definition_is_reported():
     }
     assert _unread_definitions(sources) == [
         "a.py line 4: Alias", "a.py line 5: Orphan"]
+
+
+def _builtin_folds(source: str) -> list[str]:
+    """Each call of the builtin ``max`` or ``min`` in ``source``, as text."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("max", "min")]
+
+
+# The builtin folds verify.py may make: each folds integers.
+INTEGER_FOLDS = {
+    "min(n, usable)",
+    "min(len(data) // out[0].nbytes, len(share))",
+}
+
+
+def test_verify_folds_only_integers_with_the_builtins():
+    assert [f for f in _builtin_folds((PACKAGE / "verify.py").read_text())
+            if f not in INTEGER_FOLDS] == []
+
+
+def test_a_builtin_fold_is_reported():
+    source = "a = max(x, 1.0)\nb = np.max([x, 1.0])\nc = min(n, len(xs))\n"
+    assert _builtin_folds(source) == ["max(x, 1.0)", "min(n, len(xs))"]
 
 
 # span name -> {position: name} of each argument the tracer's counters read

@@ -38,7 +38,7 @@ from lionsderiv.functionals import _resums
 from lionsderiv.measure import (_certified_sum, _exact_parts, _exact_sum, _split_sum,
                                _weighted_l2)
 
-from conftest import SORTED_RENORMALIZABLE
+from conftest import SORTED_RENORMALIZABLE, examples
 
 finite_values = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 raw_weights = st.floats(0.05, 1.0, allow_nan=False, allow_infinity=False)
@@ -211,7 +211,7 @@ _QUARTER_THREE_QUARTERS = make_measure([0.0, 1.0], [0.25, 0.75])
 @given(shift_cases())
 @example((_QUARTER_THREE_QUARTERS, 0, 1.0))  # onto the neighbour: they merge
 @example((_QUARTER_THREE_QUARTERS, 0, 2.0))  # past the neighbour
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_shift_probe_measure_is_bitwise_make_measure(case):
     # The estimator's full probe of a shift moves the atom's whole mass:
     # the canonical form of mu with that atom moved, also where it merges
@@ -494,7 +494,7 @@ def _loop_make_measure(atoms, weights):
 
 @given(st.lists(st.tuples(st.integers(-4, 4), st.one_of(st.just(0.0), raw_weights)),
                 min_size=1, max_size=16).filter(lambda ps: any(w for _, w in ps)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_vectorised_merge_matches_loop(pairs):
     atoms = np.array([k * 0.375 for k, _ in pairs])
     raw = np.array([w for _, w in pairs])
@@ -503,6 +503,32 @@ def test_vectorised_merge_matches_loop(pairs):
     want_atoms, want_weights = _loop_make_measure(atoms, weights)
     assert _bits(got.atoms) == _bits(want_atoms)
     assert _bits(got.weights) == _bits(want_weights)
+
+
+@st.composite
+def distinct_atoms(draw):
+    """Distinct atoms with weights that sum to 1 within rounding, at times
+    all equal."""
+    atoms = draw(st.lists(st.one_of(finite_values, wide_values), min_size=1, max_size=12,
+                          unique=True))
+    raw = draw(st.one_of(st.lists(raw_weights, min_size=len(atoms), max_size=len(atoms)),
+                         raw_weights.map(lambda r: [r] * len(atoms))))
+    return atoms, [r / math.fsum(raw) for r in raw]
+
+
+@given(distinct_atoms())
+@example(([1.0, 0.0, 2.0], [1 / 3] * 3))
+@example(([1.0, 0.0], [0.5, 0.5 + 2e-10]))  # renormalized
+@settings(max_examples=examples(200), deadline=None)
+def test_make_measure_of_distinct_atoms_is_the_validated_measure(case):
+    atoms, weights = case
+    got = make_measure(atoms, weights)
+    want = DiscreteMeasure(*_loop_make_measure(np.array(atoms), np.array(weights)))
+    assert _bits(got.atoms) == _bits(want.atoms)
+    assert _bits(got.weights) == _bits(want.weights)
+    for arr in (got.atoms, got.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
 
 
 @given(st.lists(st.tuples(raw_weights, st.one_of(wide_values, st.just(math.nan))),
@@ -733,20 +759,30 @@ def _only(parity):
     return lambda coeffs: [c if k % 2 == parity else 0 for k, c in enumerate(coeffs)]
 
 
+# Integers, and floats with fractions, between -2 and 2; zeros of either sign.
+fractional_coefficients = st.lists(
+    st.one_of(st.integers(-2, 2), st.just(-0.0), st.floats(-2.0, 2.0, allow_nan=False)),
+    min_size=1, max_size=11)
+
 interaction_kernels = st.one_of(
     small_coefficients,
+    fractional_coefficients,
     small_coefficients.map(_only(0)),  # even kernels: w(-u) == w(u)
     small_coefficients.map(_only(1)),  # odd kernels: w(-u) == -w(u)
+    fractional_coefficients.map(_only(0)),
+    fractional_coefficients.map(_only(1)),
     small_coefficients.map(lambda coeffs: [c * 1e300 for c in coeffs]),
 )
 
 
 @st.composite
 def wide_measures(draw, max_size=9):
-    """Atoms anywhere up to 1e308, so differences and terms can overflow."""
+    """Atoms anywhere up to 1e308, so differences and terms can overflow;
+    at times with equal weights, such as 1/3, before any merge."""
     atoms = draw(st.lists(st.one_of(finite_values, st.floats(-1e308, 1e308)),
                           min_size=1, max_size=max_size))
-    raw = draw(st.lists(raw_weights, min_size=len(atoms), max_size=len(atoms)))
+    raw = draw(st.one_of(st.lists(raw_weights, min_size=len(atoms), max_size=len(atoms)),
+                         raw_weights.map(lambda r: [r] * len(atoms))))
     total = math.fsum(raw)
     return make_measure(atoms, [r / total for r in raw])
 
@@ -773,7 +809,8 @@ HALF_HALF = make_measure([0.0, 1.0], [0.5, 0.5])
 @example(HALF_HALF, [0, 1, 0, -0.25])  # odd: certified 0
 @example(HALF_HALF, [-0.25, 0, 0.5])  # the terms sum to 0 exactly: exact parts
 @example(HALF_HALF, [-0.25, 0.5, 0.5])  # the same with an odd part: exact parts
-@settings(max_examples=400, deadline=None)
+@example(make_measure([-1e308, 1e308], [0.5, 0.5]), [1.0])  # 0 * inf + 1 is NaN
+@settings(max_examples=examples(400), deadline=None)
 def test_interaction_is_fsum_over_the_full_matrix(mu, coeffs):
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
 
@@ -788,20 +825,42 @@ def test_interaction_near_the_overflow_threshold_is_fsum_or_nan(coeffs, gap, n_a
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
 
 
-def _seeded_measure(n_atoms):
+def _seeded_measure(n_atoms, equal_weights=False):
     rng = np.random.default_rng(n_atoms)
     raw = rng.uniform(0.05, 1.0, n_atoms)
-    return make_measure(rng.uniform(-2.0, 2.0, n_atoms), raw / math.fsum(raw.tolist()))
+    weights = [1 / n_atoms] * n_atoms if equal_weights else raw / math.fsum(raw.tolist())
+    return make_measure(rng.uniform(-2.0, 2.0, n_atoms), weights)
 
 
 @pytest.mark.parametrize("n_atoms", [600, 601])
+@pytest.mark.parametrize("equal_weights", [False, True])
 @pytest.mark.parametrize("coeffs", [[0, 0, 0.5], [0, 1, 0, -0.25], [0.1, 0.2, 0.5]])
 def test_interaction_over_many_pair_blocks_is_fsum_over_the_full_matrix(
-        coeffs, n_atoms, monkeypatch):
+        coeffs, equal_weights, n_atoms, monkeypatch):
     answered = _record_certificates(monkeypatch)
-    mu = _seeded_measure(n_atoms)
+    mu = _seeded_measure(n_atoms, equal_weights)
+    assert np.all(mu.weights == mu.weights[0]) == equal_weights
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
     assert answered == [True]
+
+
+@pytest.mark.parametrize("n_atoms", [2, 33, 600, 601])
+@pytest.mark.parametrize("equal_weights", [False, True])
+def test_interaction_of_an_odd_kernel_split_sums_only_the_diagonal(
+        n_atoms, equal_weights, monkeypatch):
+    # Each pair's swapped term cancels its term, so a block of pair terms
+    # needs only the check that its terms are finite and far from overflow.
+    sizes = []
+
+    def split_sum(terms, *args):
+        sizes.append(terms.size)
+        return measure._split_sum(terms, *args)
+
+    monkeypatch.setattr(functionals, "_split_sum", split_sum)
+    mu = _seeded_measure(n_atoms, equal_weights)
+    coeffs = [0, 1, 0, -0.25]
+    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
+    assert sizes == [n_atoms]
 
 
 @pytest.mark.parametrize("n_atoms", [2, 33, 600, 601])

@@ -57,6 +57,16 @@ def test_structure_variance_balanced_sample():
     assert len(report.cases) == 32
 
 
+def test_structure_tolerance_is_nan_where_the_estimate_flags_atoms():
+    # The grid flags both atoms (see the mass-linearity case below), so
+    # their error estimates, and the bound built from them, are NaN.
+    sample = make_sample([1e6, 1e6 + 2.0 ** -20])
+    est = lions_derivative_grid(VARIANCE, sample, 20)
+    report = check_structure(VARIANCE, sample, est, directions=4)
+    assert report.status == "fail" and math.isnan(report.discrepancy)
+    assert math.isnan(report.tolerance)
+
+
 def test_structure_constant_derivative_exact():
     f = make_linear([0.0, 1.0])  # g is identically 1
     sample = make_sample([0.25, 0.5, 0.75])
@@ -319,6 +329,7 @@ def test_mass_linearity_fails_with_nan_at_an_atom_the_floor_flags():
     assert report.status == "fail" and math.isnan(report.discrepancy)
     assert math.isnan(report.details["atom_derivative"])
     assert math.isnan(report.details["atom_derivative_error"])
+    assert math.isnan(report.details["slope_tolerance"])
 
 
 def test_mass_linearity_fails_under_abusive_schedule():
