@@ -37,6 +37,7 @@ import numpy as np
 from .measure import (
     DiscreteMeasure,
     EmpiricalSample,
+    MeasureError,
     QuantizationLevel,
     _dyadic_floor,
     _weighted_l2,
@@ -193,7 +194,7 @@ class DerivativeEstimate:
         off_grid = atoms[~finite | (floored != atoms)]
         if off_grid.size:
             raise EstimatorError(
-                f"atom {off_grid[0]!r} is not on the level-{self.level.n} dyadic grid"
+                f"atom {off_grid[0].item()!r} is not on the level-{self.level.n} dyadic grid"
             )
         failed = np.isnan(gvals)
         if not np.where(failed, np.isnan(errs), np.isfinite(errs) & (errs >= 0)).all():
@@ -383,7 +384,7 @@ def _shift_quotients(f, mu: DiscreteMeasure, indices: np.ndarray,
     return _quotients(
         shifts, mu.weights[indices], schedule.mode,
         lambda: _finite(f(mu), "the unperturbed measure"),
-        lambda r, j: f(_mass_moved(mu, indices[r], 1.0, shifts[r, j])),
+        lambda r, j: f(_mass_moved(mu, indices[r], 1.0, shifts[r, j].item())),
         lambda r, j: f"atom {indices[r]} shifted by {shifts[r, j].item()!r}",
         _known_shift_values(f, mu, indices, shifts))
 
@@ -518,15 +519,30 @@ def g_tilde_values(est: DerivativeEstimate, xs) -> np.ndarray:
     return _on_cells(est, est.g_values, xs)
 
 
-def _level_grids(f, sample: EmpiricalSample, levels, schedule: dict):
-    """Per level: the derivative grid, g-tilde at the sample's values, and
-    the L2(law) distance to the previous level's g-tilde (None at the first
-    level).  Each grid is computed only when the next item is requested."""
+def _by_value(sample: EmpiricalSample) -> EmpiricalSample:
+    """``sample`` stably sorted by value.  Its law is the same bits, so are
+    the grids and L2(law) distances formed from it, and each dyadically
+    quantized copy of it is sorted already: forming the law sorts nothing."""
+    order = np.argsort(sample.values, kind="stable")
+    return EmpiricalSample(sample.values[order], sample.weights[order])
+
+
+def _level_grids(f, sample: EmpiricalSample, ordered: EmpiricalSample, levels,
+                 schedule: dict):
+    """Per level: the derivative grid, g-tilde at the values of ``ordered``,
+    which is ``_by_value(sample)``, and the L2(law) distance to the previous
+    level's g-tilde (None at the first level).  Each grid is computed only
+    when the next item is requested.  A value that overflows at a level is
+    named as in ``dyadic_quantize(sample, level)``: the first in input order."""
     prev = None
     for n in levels:
-        est = lions_derivative_grid(f, sample, n, StepSchedule.for_level(n, **schedule))
-        g = g_tilde_values(est, sample.values)
-        yield est, g, None if prev is None else _weighted_l2(sample.weights, prev - g)
+        try:
+            est = lions_derivative_grid(f, ordered, n, StepSchedule.for_level(n, **schedule))
+        except MeasureError:
+            dyadic_quantize(sample, n)
+            raise
+        g = g_tilde_values(est, ordered.values)
+        yield est, g, None if prev is None else _weighted_l2(ordered.weights, prev - g)
         prev = g
 
 
@@ -555,7 +571,8 @@ def refine_until_converged(f, sample: EmpiricalSample, tol: float,
     levels: list[int] = []
     distances: list[float] = []
     converged = False
-    for est, _, d in _level_grids(f, sample, range(n_min, n_max + 1), schedule):
+    for est, _, d in _level_grids(f, sample, _by_value(sample),
+                                  range(n_min, n_max + 1), schedule):
         levels.append(est.level.n)
         if d is not None:
             distances.append(d)

@@ -38,6 +38,7 @@ caveats to everything this module represents.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -90,7 +91,7 @@ def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
         raise MeasureError(f"{what} must be one-dimensional")
     if arr.size and not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise MeasureError(f"{what}[{bad}] is not finite: {arr[bad]!r}")
+        raise MeasureError(f"{what}[{bad}] is not finite: {arr[bad].item()!r}")
     # +0.0 normalizes any -0.0 so canonical forms are bitwise unique.
     return arr + 0.0
 
@@ -242,7 +243,7 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
         )
     if np.any(w < 0):
         bad = int(np.flatnonzero(w < 0)[0])
-        raise MeasureError(f"weights[{bad}] is negative: {w[bad]!r}")
+        raise MeasureError(f"weights[{bad}] is negative: {w[bad].item()!r}")
     total = _total_mass(w, "weights")
 
     order = np.argsort(a, kind="stable")
@@ -290,7 +291,7 @@ def make_sample(values: Sequence[float],
             )
         if np.any(w <= 0):
             bad = int(np.flatnonzero(w <= 0)[0])
-            raise MeasureError(f"weights[{bad}] must be positive, got {w[bad]!r}")
+            raise MeasureError(f"weights[{bad}] must be positive, got {w[bad].item()!r}")
     return EmpiricalSample(v, w / _total_mass(w, "weights"))
 
 
@@ -328,7 +329,7 @@ def dyadic_quantize(sample: EmpiricalSample,
     overflowing = sample.values[~finite]
     if overflowing.size:
         raise MeasureError(
-            f"value {overflowing[0]!r} overflows at quantization level {n}"
+            f"value {overflowing[0].item()!r} overflows at quantization level {n}"
         )
     return EmpiricalSample(floored, sample.weights)
 
@@ -542,10 +543,37 @@ def mean(mu: DiscreteMeasure) -> float:
 def read_sample_file(path: str) -> EmpiricalSample:
     """Read a sample from CSV: one record per line, `value` or `value,weight`.
 
-    Lines starting with ``#`` and blank lines are ignored.  Mixing weighted
-    and unweighted records is an error; so is an empty file.  Errors carry
-    the path and 1-based line number.
+    A value or weight is what Python's ``float()`` reads.  A line whose
+    first non-blank character is ``#`` is a comment; comments and blank
+    lines are ignored.  Mixing weighted and unweighted records is an error;
+    so is an empty file.  Errors carry the path and the 1-based number of
+    the first bad line.
+
+    numpy parses the whole file in one pass.  Where that parse fails, as on
+    any ``#`` or whitespace-only line, or the checks on its arrays do, the
+    file is read again line by line (:func:`_read_records`), which defines
+    the format: it gives the same records or names the first bad line.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns on a file without records
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError):  # also a file that is not UTF-8 text
+        table = np.empty((0, 0))
+    if (table.size and table.shape[1] <= 2 and np.isfinite(table).all()
+            and (table[:, 1:] > 0).all()):
+        values, weights = table[:, 0], table[:, 1] if table.shape[1] == 2 else None
+    else:
+        values, weights = _read_records(path)
+    try:
+        return make_sample(values, weights)
+    except MeasureError as exc:
+        raise SampleFormatError(str(exc), path=str(path)) from exc
+
+
+def _read_records(path: str) -> tuple[list[float], list[float] | None]:
+    """The values of a sample file and its weights, None where the records
+    have none, read line by line; the first bad line raises."""
     values: list[float] = []
     weights: list[float] = []
     weighted: bool | None = None
@@ -597,7 +625,4 @@ def read_sample_file(path: str) -> EmpiricalSample:
             weights.append(w)
     if not values:
         raise SampleFormatError("no records found", path=str(path), line=1)
-    try:
-        return make_sample(values, weights if weighted else None)
-    except MeasureError as exc:
-        raise SampleFormatError(str(exc), path=str(path)) from exc
+    return values, weights if weighted else None

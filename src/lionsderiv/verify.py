@@ -31,6 +31,7 @@ from .estimator import (
     DerivativeEstimate,
     Direction,
     ProbeFailureError,
+    _by_value,
     _check_index,
     _level_grids,
     _on_cells,
@@ -461,17 +462,18 @@ def convergence_study(f: Functional, sample: EmpiricalSample,
     levels = [int(n) for n in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be nonempty and ascending, got {levels}")
-    base_law = law_of(sample)
+    ordered = _by_value(sample)
+    base_law = law_of(ordered)
     oracle_at_values = None
     if f.has_closed_form:
-        oracle_at_values = f.analytic_g(base_law, sample.values)
+        oracle_at_values = f.analytic_g(base_law, ordered.values)
     schedule = {"eps0": eps0, "ratio": ratio, "count": count, "mode": mode}
     rows: list[StudyRow] = []
-    for est, g, succ in _level_grids(f, sample, levels, schedule):
+    for est, g, succ in _level_grids(f, sample, ordered, levels, schedule):
         n = est.level.n
         w2 = wasserstein2(base_law, est.law)
         oerr = (None if oracle_at_values is None
-                else _weighted_l2(sample.weights, g - oracle_at_values))
+                else _weighted_l2(ordered.weights, g - oracle_at_values))
         rows.append(StudyRow(level=n, w2_quantization=float(w2),
                              successive_difference=succ, oracle_error=oerr))
     return tuple(rows)

@@ -291,6 +291,17 @@ def test_corrupt_line_exits_1_with_line_number(workdir, capsys):
     assert "bad.csv:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "study"])
+def test_a_value_that_overflows_is_named_first_in_input_order(workdir, capsys, command):
+    # The refinement and the study sort the sample; the message still names
+    # the first value of the file that overflows, as a Python float.
+    inp = write(workdir / "s.csv", "1e308\n-1e308\n")
+    code = main([command, "--input", inp, "--functional", '{"name":"variance"}'])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "lionsderiv: input error: value 1e+308 overflows at quantization level 2\n")
+
+
 def test_missing_input_file_exits_1(workdir, capsys):
     code = main(["estimate", "--input", "nope.csv", "--functional",
                  '{"name":"variance"}'])
@@ -667,9 +678,12 @@ def test_any_sample_ends_in_an_exit_code_and_strict_json(
         out = Path(tmp) / ("out.json" if command == "verify" else "out.csv")
         levels = ["--level", str(level)] if command != "study" else [
             "--levels", f"{level}..{min(level + 1, 1023)}"]
-        code = main([command, "--input", str(inp), "--functional", functional,
-                     "--mode", mode, "--out", str(out), *levels])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(inp), "--functional", functional,
+                         "--mode", mode, "--out", str(out), *levels])
         assert code in (0, 1, 2, 3, 4)
+        assert "np." not in err.getvalue()  # numbers print as Python floats
         reports = {"estimate": Path(tmp) / "out.report.json", "verify": out}
         if code not in (1, 2) and command in reports:
             json.loads(reports[command].read_text(), parse_constant=_reject_constant)

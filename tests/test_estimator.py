@@ -21,6 +21,7 @@ from lionsderiv import (
     DiscreteMeasure,
     EstimatorError,
     Functional,
+    MeasureError,
     ProbeFailureError,
     QuantizationLevel,
     StepSchedule,
@@ -404,6 +405,35 @@ def _estimate(atoms, g_values, error_estimates, level=1):
         g_values=np.array(g_values),
         error_estimates=np.array(error_estimates),
     )
+
+
+# Each message that names an array entry prints it as a Python float, so
+# the text is the same on every numpy: numpy 2 reprs its scalars as
+# ``np.float64(...)``.
+ENTRY_MESSAGES = [
+    pytest.param(lambda: make_measure([1.0, math.inf], [0.5, 0.5]),
+                 "atoms[1] is not finite: inf", id="not_finite"),
+    pytest.param(lambda: make_measure([0.0, 1.0], [1.5, -0.5]),
+                 "weights[1] is negative: -0.5", id="negative_weight"),
+    pytest.param(lambda: make_sample([0.0, 1.0], [1.0, 0.0]),
+                 "weights[1] must be positive, got 0.0", id="zero_weight"),
+    pytest.param(lambda: dyadic_quantize(make_sample([1e308, -1e308]), 2),
+                 "value 1e+308 overflows at quantization level 2", id="quantize_overflow"),
+    pytest.param(lambda: refine_until_converged(VARIANCE, make_sample([1e308, -1e308]), 1e-3),
+                 "value 1e+308 overflows at quantization level 2", id="refine_overflow"),
+    pytest.param(lambda: _estimate([0.3], [1.0], [0.0]),
+                 "atom 0.3 is not on the level-1 dyadic grid", id="off_grid"),
+    pytest.param(lambda: atom_shift_quotients(VARIANCE, make_measure([1e308], [1.0]), 0,
+                                              StepSchedule(eps0=1e308)),
+                 "atom 0 moved by 1e+308 leaves the float range", id="probe_overflow"),
+]
+
+
+@pytest.mark.parametrize("build, message", ENTRY_MESSAGES)
+def test_a_message_names_an_entry_as_a_python_float(build, message):
+    with pytest.raises((MeasureError, EstimatorError, ProbeFailureError)) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_estimate_invariant_validation():

@@ -440,3 +440,51 @@ def test_read_sample_empty_file(tmp_path):
     p.write_text("# only comments\n")
     with pytest.raises(SampleFormatError, match="no records"):
         read_sample_file(str(p))
+
+
+# Edge files of the sample format, each with the sample it reads as
+# (values, weights) or the exact error text after "<path>".
+READER_EDGE_FILES = [
+    ("crlf", b"0.25\r\n0.75\r\n", ([0.25, 0.75], [0.5, 0.5])),
+    ("crlf_weighted", b"0.25,0.5\r\n0.75,0.5\r\n", ([0.25, 0.75], [0.5, 0.5])),
+    ("tab_vt_nbsp", "\t0.25\x0b,\xa00.5\xa0\n0.75 ,\t0.5\n".encode(),
+     ([0.25, 0.75], [0.5, 0.5])),
+    ("blank_and_indented_comment", b"0.5\n \t \n   # note\n1.5\n", ([0.5, 1.5], [0.5, 0.5])),
+    ("mid_line_hash", b"0.5\n1.0 # x\n", ":2: not a number: '1.0 # x'"),
+    ("trailing_comma", b"1.0,\n0.5,0.5\n", ":1: not a number: ''"),
+    ("trailing_comma_after_values", b"0.5\n1.0,\n",
+     ":2: mixing weighted and unweighted records"),
+    ("underscore", b"1_0\n2\n", ([10.0, 2.0], [0.5, 0.5])),
+    ("arabic_indic_digit", "١\n2\n".encode(), ([1.0, 2.0], [0.5, 0.5])),
+    ("inf_value", b"0.5\ninf\n", ":2: value must be finite, got 'inf'"),
+    ("huge_value", b"0.5\n1e400\n", ":2: value must be finite, got '1e400'"),
+    ("nan_value", b"0.5\nnan\n", ":2: value must be finite, got 'nan'"),
+    ("huge_weight", b"0.5,0.5\n1.0,1e400\n",
+     ":2: weight must be finite and positive, got '1e400'"),
+    ("zero_weight", b"0.5,0.5\n1.0,0\n", ":2: weight must be finite and positive, got '0'"),
+    ("negative_weight", b"0.5,0.5\n1.0,-0.5\n",
+     ":2: weight must be finite and positive, got '-0.5'"),
+    ("mixed", b"0.5,0.5\n1.0\n", ":2: mixing weighted and unweighted records"),
+    ("three_fields", b"1,2,3\n", ":1: expected `value` or `value,weight`, got '1,2,3'"),
+    ("only_comments", b"# one\n  # two\n", ":1: no records found"),
+    ("utf8_bom", b"\xef\xbb\xbf0.5\n1.5\n", ":1: not a number: '\\ufeff0.5'"),
+    ("bad_utf8_after_bad_number", b"abc\n0.5\n\xff\n",
+     ": cannot read sample file: 'utf-8' codec can't decode byte 0xff in position 8: "
+     "invalid start byte"),
+    ("weights_off_one", b"0.5,0.5\n1.0,0.25\n",
+     ": weights sum to 0.75, farther than 1e-09 from 1; rescale the input explicitly"),
+]
+
+
+@pytest.mark.parametrize("data, expected", [case[1:] for case in READER_EDGE_FILES],
+                         ids=[case[0] for case in READER_EDGE_FILES])
+def test_reader_edge_file(tmp_path, data, expected):
+    p = tmp_path / "s.csv"
+    p.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(SampleFormatError) as info:
+            read_sample_file(str(p))
+        assert str(info.value) == f"{p}{expected}"
+    else:
+        s = read_sample_file(str(p))
+        assert (s.values.tolist(), s.weights.tolist()) == expected

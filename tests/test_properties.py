@@ -3,8 +3,10 @@ lookup, the weighted-L2 helper, exact sums on arrays, the one-atom shift
 probes and the closed forms on arrays."""
 
 import math
+import os
 import random
 import re
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +20,10 @@ from lionsderiv import (
     MeasureError,
     ProbeFailureError,
     QuantizationLevel,
+    SampleFormatError,
     StepSchedule,
     atom_shift_quotients,
+    convergence_study,
     dyadic_quantize,
     g_tilde_values,
     law_of,
@@ -30,6 +34,8 @@ from lionsderiv import (
     make_measure,
     make_sample,
     make_variance,
+    read_sample_file,
+    refine_until_converged,
     wasserstein2,
 )
 from lionsderiv import functionals, measure
@@ -444,7 +450,7 @@ def test_vectorised_quantize_matches_loop(values, n):
     sample = make_sample(values)
     scaled = [float(v) * 2.0 ** n for v in sample.values]
     if not all(math.isfinite(s) for s in scaled):
-        first = next(v for v, s in zip(sample.values, scaled) if not math.isfinite(s))
+        first = next(v for v, s in zip(sample.values.tolist(), scaled) if not math.isfinite(s))
         with pytest.raises(MeasureError, match=re.escape(f"value {first!r} overflows")):
             dyadic_quantize(sample, n)
         return
@@ -875,3 +881,155 @@ def test_interaction_where_the_certificate_declines_is_fsum_over_the_full_matrix
     coeffs = [-make_variance()(mu), odd, 0.5]
     assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
     assert answered == [False]
+
+
+# ---------------------------------------------------------------------------
+# the sample file reader
+# ---------------------------------------------------------------------------
+
+def _reference_reader(path: str) -> EmpiricalSample:
+    """The line-by-line sample reader the one-pass reader replaced: the
+    definition of the format it must match."""
+    values, weights, weighted = [], [], None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SampleFormatError(f"cannot read sample file: {exc}", path=str(path))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) not in (1, 2):
+            raise SampleFormatError(f"expected `value` or `value,weight`, got {line!r}",
+                                    path=str(path), line=lineno)
+        has_weight = len(fields) == 2
+        if weighted is None:
+            weighted = has_weight
+        elif weighted != has_weight:
+            raise SampleFormatError("mixing weighted and unweighted records",
+                                    path=str(path), line=lineno)
+        try:
+            v = float(fields[0])
+        except ValueError:
+            raise SampleFormatError(f"not a number: {fields[0]!r}",
+                                    path=str(path), line=lineno) from None
+        if not math.isfinite(v):
+            raise SampleFormatError(f"value must be finite, got {fields[0]!r}",
+                                    path=str(path), line=lineno)
+        values.append(v)
+        if has_weight:
+            try:
+                w = float(fields[1])
+            except ValueError:
+                raise SampleFormatError(f"not a number: {fields[1]!r}",
+                                        path=str(path), line=lineno) from None
+            if not math.isfinite(w) or w <= 0:
+                raise SampleFormatError(
+                    f"weight must be finite and positive, got {fields[1]!r}",
+                    path=str(path), line=lineno)
+            weights.append(w)
+    if not values:
+        raise SampleFormatError("no records found", path=str(path), line=1)
+    try:
+        return make_sample(values, weights if weighted else None)
+    except MeasureError as exc:
+        raise SampleFormatError(str(exc), path=str(path)) from exc
+
+
+def _read_outcome(read, path):
+    """The sample's bits, or the error's text and line."""
+    try:
+        s = read(path)
+    except SampleFormatError as exc:
+        return str(exc), exc.line
+    return s.values.tobytes(), s.weights.tobytes()
+
+
+# Tokens where numpy's parse and float() part, or the format's checks bite.
+EDGE_TOKENS = ["1_0", "١", "inf", "-inf", "1e400", "nan", "-0.0", "0", "-0.5", "",
+               "abc", "1.0 # x", "0x10", "\ufeff1", "1d0", "+.5", "1e", "1\x00",
+               "Infinity", "1.0 ", "1.0 x"]
+PADDING = st.text(st.sampled_from(" \t\x0b\x0c\xa0\u2000\u3000"), max_size=2)
+finite_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(st.floats(-1e6, 1e6), st.integers(0, 20)).map(lambda t: f"{t[0]:.{t[1]}e}"))
+any_tokens = st.one_of(st.floats().map(repr), finite_tokens, st.sampled_from(EDGE_TOKENS))
+
+
+@st.composite
+def sample_files(draw):
+    """Sample files, half of them well formed; padding around fields, and
+    blank and comment lines, in any of them."""
+    n = draw(st.integers(1, 8))
+    weighted, clean = draw(st.booleans()), draw(st.booleans())
+    tokens = finite_tokens if clean else any_tokens
+    weight = repr(1.0 / n)
+    lines = []
+    for _ in range(n):
+        fields = [draw(tokens)]
+        if weighted:
+            fields.append(weight if clean else draw(st.one_of(st.just(weight), tokens)))
+        if not clean and draw(st.integers(0, 9)) == 0:  # a stray field, or a missing one
+            fields = fields[:-1] if len(fields) == 2 else fields + [weight]
+        lines.append(",".join(draw(PADDING) + f + draw(PADDING) for f in fields))
+        if draw(st.integers(0, 19 if clean else 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", "# note", "  # note",
+                                               "\xa0#", "#,1,2"])))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (ending.join(lines) + draw(st.sampled_from([ending, ""]))).encode()
+    if not clean and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xef\xbb\xbf"])) + data[at:]
+    return data
+
+
+@given(sample_files())
+@example(b"0.5\n1.0 # x\n")
+@example(b"1_0\n\xd9\xa1\n")
+@example(b"abc\n0.5\n\xff\n")
+@example(b"0.25,0.5\r\n  # c\n\n0.75,0.5")
+@settings(max_examples=examples(300), deadline=None)
+def test_reader_matches_the_line_by_line_reference(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert _read_outcome(read_sample_file, path) == _read_outcome(_reference_reader, path)
+
+
+# ---------------------------------------------------------------------------
+# refinement and study under permutations of the sample
+# ---------------------------------------------------------------------------
+
+@st.composite
+def permuted_samples(draw):
+    """A sample with repeated values and zeros of both signs, and the same
+    records in another order."""
+    values = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0]),
+                                     finite_values), min_size=1, max_size=10))
+    raw = draw(st.one_of(st.none(), st.lists(raw_weights, min_size=len(values),
+                                             max_size=len(values))))
+    sample = make_sample(values, None if raw is None else [r / math.fsum(raw) for r in raw])
+    order = draw(st.permutations(range(sample.size)))
+    return sample, EmpiricalSample(sample.values[order], sample.weights[order])
+
+
+PERMUTATION_FUNCTIONALS = [make_variance(), make_linear([0.0, 1.0, 0.5, 0.25]),
+                           make_interaction([0.0, 0.0, 0.5])]
+
+
+def _refinement_bits(f, sample):
+    est, report = refine_until_converged(f, sample, 1e-3, n_min=0, n_max=6)
+    return (est.level.n, est.law.atoms.tobytes(), est.law.weights.tobytes(),
+            est.g_values.tobytes(), est.error_estimates.tobytes(), repr(report))
+
+
+@given(permuted_samples(), st.sampled_from(PERMUTATION_FUNCTIONALS))
+@settings(max_examples=examples(100), deadline=None)
+def test_refinement_and_study_are_permutation_invariant(case, f):
+    sample, permuted = case
+    assert _refinement_bits(f, sample) == _refinement_bits(f, permuted)
+    assert (repr(convergence_study(f, sample, range(0, 5)))
+            == repr(convergence_study(f, permuted, range(0, 5))))
