@@ -549,39 +549,58 @@ def read_sample_file(path: str) -> EmpiricalSample:
     so is an empty file.  Errors carry the path and the 1-based number of
     the first bad line.
 
-    numpy parses the whole file in one pass.  Where that parse fails, as on
-    any ``#`` or whitespace-only line, or the checks on its arrays do, the
-    file is read again line by line (:func:`_read_records`), which defines
-    the format: it gives the same records or names the first bad line.
+    The file is opened once.  Where it can seek, numpy parses it in one
+    pass (:func:`_numeric_table`).  Where it cannot, as a pipe, or where
+    that parse fails, its lines are read from the start
+    (:func:`_read_records`), which defines the format: they give the same
+    records or name the first bad line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns on a file without records
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError):  # also a file that is not UTF-8 text
-        table = np.empty((0, 0))
-    if (table.size and table.shape[1] <= 2 and np.isfinite(table).all()
-            and (table[:, 1:] > 0).all()):
-        values, weights = table[:, 0], table[:, 1] if table.shape[1] == 2 else None
+        with open(path, "r", encoding="utf-8") as fh:
+            table = _numeric_table(fh) if fh.seekable() else None
+            lines = fh.readlines() if table is None else None
+    except (OSError, UnicodeDecodeError) as exc:  # also a file that is not UTF-8 text
+        raise SampleFormatError(f"cannot read sample file: {exc}", path=str(path))
+    if table is None:
+        values, weights = _read_records(lines, path)
+        del lines  # free the text before make_sample copies the arrays
     else:
-        values, weights = _read_records(path)
+        values, weights = table[:, 0], table[:, 1] if table.shape[1] == 2 else None
     try:
         return make_sample(values, weights)
     except MeasureError as exc:
         raise SampleFormatError(str(exc), path=str(path)) from exc
 
 
-def _read_records(path: str) -> tuple[list[float], list[float] | None]:
-    """The values of a sample file and its weights, None where the records
-    have none, read line by line; the first bad line raises."""
+def _numeric_table(fh) -> np.ndarray | None:
+    """The records of the seekable sample file ``fh`` as an array of one or
+    two columns: numpy parses the lines after the leading comment and blank
+    lines in one pass.  None, with ``fh`` back at its start, where the parse
+    fails, as on a later comment or whitespace-only line or a number numpy
+    does not read (``1_0``), or where a record breaks a rule."""
+    try:
+        start, line = 0, fh.readline()
+        while line and line.strip()[:1] in ("", "#"):  # a blank or comment line
+            start, line = fh.tell(), fh.readline()
+        fh.seek(start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns on a file without records
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError):  # also a file that is not UTF-8 text
+        table = np.empty((0, 0))
+    if (table.size and table.shape[1] <= 2 and np.isfinite(table).all()
+            and (table[:, 1:] > 0).all()):
+        return table
+    fh.seek(0)
+    return None
+
+
+def _read_records(lines: list[str], path: str) -> tuple[list[float], list[float] | None]:
+    """The values of the lines of sample file ``path`` and their weights,
+    None where the records have none; the first bad line raises."""
     values: list[float] = []
     weights: list[float] = []
     weighted: bool | None = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:  # also a file that is not UTF-8 text
-        raise SampleFormatError(f"cannot read sample file: {exc}", path=str(path))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -9,6 +9,8 @@ Oracle checklist:
 """
 
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -476,15 +478,71 @@ READER_EDGE_FILES = [
 ]
 
 
-@pytest.mark.parametrize("data, expected", [case[1:] for case in READER_EDGE_FILES],
-                         ids=[case[0] for case in READER_EDGE_FILES])
+# Files longer than one 8 KiB read, with a leading comment: read whole, and
+# with a bad last line.
+_LONG_VALUES = [k / 1024 for k in range(4000)]
+_LONG_TEXT = "# header\n" + "".join(f"{v!r}\n" for v in _LONG_VALUES)
+READER_LONG_FILES = [
+    ("long_with_header", _LONG_TEXT.encode(),
+     (_LONG_VALUES, [1 / len(_LONG_VALUES)] * len(_LONG_VALUES))),
+    ("long_with_header_and_bad_line", (_LONG_TEXT + "abc\n").encode(),
+     f":{len(_LONG_VALUES) + 2}: not a number: 'abc'"),
+]
+READER_FILES = READER_EDGE_FILES + READER_LONG_FILES
+
+
+@pytest.mark.parametrize("data, expected", [case[1:] for case in READER_FILES],
+                         ids=[case[0] for case in READER_FILES])
 def test_reader_edge_file(tmp_path, data, expected):
     p = tmp_path / "s.csv"
     p.write_bytes(data)
+    _assert_reads_as(lambda: read_sample_file(str(p)), p, expected)
+
+
+def _assert_reads_as(read, path, expected):
+    """``read()`` gives the sample ``expected`` or raises its error text."""
     if isinstance(expected, str):
         with pytest.raises(SampleFormatError) as info:
-            read_sample_file(str(p))
-        assert str(info.value) == f"{p}{expected}"
+            read()
+        assert str(info.value) == f"{path}{expected}"
     else:
-        s = read_sample_file(str(p))
+        s = read()
         assert (s.values.tolist(), s.weights.tolist()) == expected
+
+
+def _read_through_fifo(fifo, data):
+    """read_sample_file on a named pipe that another thread fills with data
+    once.  A second open of the pipe reads it empty rather than hang."""
+    done = threading.Event()
+
+    def fill():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at a byte that is not UTF-8
+            pass
+        while not done.wait(0.05):
+            try:  # opens only while a reader has the pipe open, and writes nothing
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
+    try:
+        return read_sample_file(str(fifo))
+    finally:
+        done.set()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("data, expected", [case[1:] for case in READER_FILES],
+                         ids=[case[0] for case in READER_FILES])
+def test_reader_reads_a_pipe_once(tmp_path, data, expected):
+    """A pipe cannot be read twice; it gives what a regular file with the
+    same bytes gives."""
+    p = tmp_path / "s.fifo"
+    _assert_reads_as(lambda: _read_through_fifo(p, data), p, expected)

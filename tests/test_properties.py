@@ -958,15 +958,20 @@ finite_tokens = st.one_of(
 any_tokens = st.one_of(st.floats().map(repr), finite_tokens, st.sampled_from(EDGE_TOKENS))
 
 
+FILLER_LINES = ["", "   ", "\t", "# note", "  # note", "\xa0#", "#,1,2"]
+# A file longer than one 8 KiB read, after a comment line.
+LONG_RECORDS = "# header\n" + "".join(f"{k / 1024!r}\n" for k in range(4000))
+
+
 @st.composite
 def sample_files(draw):
     """Sample files, half of them well formed; padding around fields, and
-    blank and comment lines, in any of them."""
+    blank and comment lines, leading ones too, in any of them."""
     n = draw(st.integers(1, 8))
     weighted, clean = draw(st.booleans()), draw(st.booleans())
     tokens = finite_tokens if clean else any_tokens
     weight = repr(1.0 / n)
-    lines = []
+    lines = draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
     for _ in range(n):
         fields = [draw(tokens)]
         if weighted:
@@ -975,8 +980,7 @@ def sample_files(draw):
             fields = fields[:-1] if len(fields) == 2 else fields + [weight]
         lines.append(",".join(draw(PADDING) + f + draw(PADDING) for f in fields))
         if draw(st.integers(0, 19 if clean else 4)) == 0:
-            lines.append(draw(st.sampled_from(["", "   ", "\t", "# note", "  # note",
-                                               "\xa0#", "#,1,2"])))
+            lines.append(draw(st.sampled_from(FILLER_LINES)))
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (ending.join(lines) + draw(st.sampled_from([ending, ""]))).encode()
     if not clean and draw(st.integers(0, 9)) == 0:
@@ -990,6 +994,9 @@ def sample_files(draw):
 @example(b"1_0\n\xd9\xa1\n")
 @example(b"abc\n0.5\n\xff\n")
 @example(b"0.25,0.5\r\n  # c\n\n0.75,0.5")
+@example(LONG_RECORDS.encode())
+@example(LONG_RECORDS.encode() + b"# late\n")
+@example(LONG_RECORDS.encode() + b"\xff\n")
 @settings(max_examples=examples(300), deadline=None)
 def test_reader_matches_the_line_by_line_reference(data):
     with tempfile.TemporaryDirectory() as tmp:
