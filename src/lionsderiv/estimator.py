@@ -342,7 +342,9 @@ def _quotients(shifts: np.ndarray, scale: np.ndarray, mode: str,
                 _finite(row[j], where(r, j))
         except ProbeFailureError as exc:
             failures[r] = exc
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A failed row may hold known values over denominators of 0: its
+    # quotients are discarded.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         differences = values - b if one_sided else values[:, 0::2] - values[:, 1::2]
         return differences / denominators, failures
 

@@ -41,8 +41,8 @@ from typing import Any, Callable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .measure import (DiscreteMeasure, _certified_sum, _exact_parts, _exact_sum,
-                      _fsum_or_nan, _in_range, _partials, _split_sum, mean)
+from .measure import (DiscreteMeasure, _cascade, _exact_partials, _exact_parts,
+                      _exact_sum, _fsum_or_nan, _in_range, _partials, mean)
 
 __all__ = [
     "Functional",
@@ -110,10 +110,13 @@ class PotentialSpec:
 
     def max_abs_on(self, lo: float, hi: float) -> float:
         """Coarse bound for |phi| on [lo, hi], the largest |phi| at 513
-        evenly spaced points (tolerance bookkeeping only)."""
+        evenly spaced points (tolerance bookkeeping only).  An interval
+        wider than the float range gives inf or NaN, silently."""
         if hi < lo:
             lo, hi = hi, lo
-        return float(np.max(np.abs(self.values(np.linspace(lo, hi, 513)))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.linspace(lo, hi, 513)
+        return float(np.max(np.abs(self.values(points))))
 
 
 @dataclass(frozen=True)
@@ -322,11 +325,9 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
     are all 0 it is the same term, and for one whose even coefficients are
     all 0 the same term negated, wherever the terms are finite: the pair
     adds the term twice, or nothing.  Other kernels evaluate it, as
-    ``p_j*p_k * w(-(x_j - x_k))``.  One certificate over the split sums of
-    the blocks of terms answers first; where it cannot, the exact parts of
-    each block, which the shift evaluator's base also keeps, give the sum;
-    where a term is not finite or the terms come near overflow, fsum over
-    the whole matrix does.
+    ``p_j*p_k * w(-(x_j - x_k))``.  The blocks of terms are the parts of
+    one :func:`~lionsderiv.measure._cascade`, whose exact partials the
+    shift evaluator's base also keeps; its fallback is the whole matrix.
     """
     spec = w if isinstance(w, PotentialSpec) else PotentialSpec(tuple(w))
     dw = spec.derivative()
@@ -355,11 +356,10 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
     def pair_parts(mu: DiscreteMeasure, reduce: Callable) -> list | None:
         """``reduce(terms, count, scratch)`` of the diagonal and of each
         block of pair terms, listed once for each time those terms count in
-        the M x M sum; None where any ``reduce`` is None, or where an odd
-        kernel's pair terms, which add nothing, are not finite or come near
-        overflow.  ``reduce`` is :func:`~lionsderiv.measure._split_sum`, or
-        :func:`~lionsderiv.measure._exact_parts` by way of
-        ``pair_partials``, with ``count`` all M^2 terms."""
+        the M x M sum, with ``count`` all M^2 terms: the ``parts_of`` of
+        :func:`~lionsderiv.measure._cascade`.  None where an odd kernel's
+        pair terms, which add nothing, are not finite or come near
+        overflow."""
         atoms, weights = mu.atoms, mu.weights
         count = atoms.size * atoms.size
         # One set of block-sized buffers per evaluation: the terms of a
@@ -374,8 +374,6 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
 
         with np.errstate(over="ignore", invalid="ignore"):
             parts = [reduce((weights * weights) * spec.values(atoms - atoms), count, scratch)]
-            if parts[0] is None:
-                return None
             for products, gaps in _pair_blocks(weights, atoms):
                 terms = block(products, gaps)
                 if odd:  # the swapped terms cancel these: check the range only
@@ -385,43 +383,22 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
                         return None
                     continue
                 part = reduce(terms, count, scratch)
-                if part is None:
-                    return None
-                if even:
-                    parts += (part, part)
-                else:
-                    swapped = reduce(block(products, np.negative(gaps, out=gaps)),
-                                     count, scratch)
-                    if swapped is None:
-                        return None
-                    parts += (part, swapped)
+                parts += (part, part if even else reduce(
+                    block(products, np.negative(gaps, out=gaps)), count, scratch))
         return parts
 
-    def pair_partials(mu: DiscreteMeasure) -> list[float] | None:
-        """fsum's partials of the exact sum of the M x M terms; None where
-        ``_exact_parts`` of the whole matrix is None: a term is not finite,
-        or the terms come near overflow."""
-        parts = pair_parts(mu, lambda terms, count, _: _exact_parts(terms, count))
-        return None if parts is None else _partials([p for part in parts for p in part])
-
     def evaluate(mu: DiscreteMeasure) -> float:
-        parts = pair_parts(mu, _split_sum)
-        total = None if parts is None else _certified_sum(parts)
-        if total is not None:
-            return total
-        partials = pair_partials(mu)
-        if partials is not None:
-            return math.fsum(partials)
-        # A term is not finite or the terms come near overflow: fsum over
-        # the matrix row by row decides between a value and NaN.
-        atoms, weights = mu.atoms, mu.weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = (weights[:, None] * weights) * spec.values(atoms[:, None] - atoms)
-        return _fsum_or_nan(terms.ravel().tolist())
+        def every_term() -> list[float]:
+            atoms, weights = mu.atoms, mu.weights
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = (weights[:, None] * weights) * spec.values(atoms[:, None] - atoms)
+            return terms.ravel().tolist()
+
+        return _cascade(lambda reduce: pair_parts(mu, reduce), every_term)
 
     def shift_evaluator(canon: DiscreteMeasure, indices: np.ndarray,
                         positions: np.ndarray) -> np.ndarray:
-        partials = pair_partials(canon)
+        partials = _exact_partials(lambda reduce: pair_parts(canon, reduce))
         if partials is None:
             return np.full(indices.shape, math.nan)
         atoms, weights = canon.atoms, canon.weights
@@ -429,8 +406,9 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
         line_weights = np.concatenate((weights, weights))
         probes_per_chunk = max(1, _PAIR_BLOCK // line_weights.size)
         # Per atom, a few floats whose exact sum is that of its old lines
-        # negated.  Those lines are terms of the base, which pair_partials
-        # found finite and far from overflow, so fsum over them cannot raise.
+        # negated.  Those lines are terms of the base, whose exact partials
+        # exist, so they are finite and far from overflow and fsum over them
+        # cannot raise.
         old_lines: dict[int, list[float]] = {}
         # One set of chunk buffers, filled for every chunk.
         gaps_buffer = np.empty((probes_per_chunk, 2 * m))

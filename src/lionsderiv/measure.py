@@ -19,8 +19,8 @@ Numerical policy: every weighted sum is exactly rounded, hence
 order-independent and bit-stable across runs, and atom merging uses exact
 float equality only.  Both choices are deliberate: they make law-level
 computations bitwise invariant under permutations and exact weight
-splittings of the underlying sample.  Sums of term arrays go through
-``_exact_sum``, which returns ``math.fsum``'s answer bit for bit without
+splittings of the underlying sample.  Every sum of term arrays is
+``_cascade``'s, which returns ``math.fsum``'s answer bit for bit without
 turning every term into a Python float.  It first splits each term exactly
 into a high part, whose float sum is exact, and a low part, whose float sum
 has a known error bound; where both ends of that bound round to the same
@@ -99,6 +99,15 @@ def _as_float_array(values: Iterable[float], what: str) -> np.ndarray:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _trusted(cls, **arrays: np.ndarray):
+    """``cls(**arrays)`` holding the float arrays themselves, frozen, without
+    its checks: the caller's arrays already meet its invariants."""
+    obj = object.__new__(cls)
+    for name, arr in arrays.items():
+        object.__setattr__(obj, name, _frozen(arr))
+    return obj
 
 
 def _total_mass(weights: np.ndarray, what: str) -> float:
@@ -266,13 +275,12 @@ def make_measure(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteMe
     # Where nothing merges or drops, the weights are the input's, permuted.
     merged_total = total if weights_arr.size == w.size else _exact_sum(weights_arr)
     if merged_total != total or abs(merged_total - 1.0) > CANONICAL_SUM_TOLERANCE:
-        return DiscreteMeasure(atoms_arr, weights_arr / merged_total)
-    # The pair meets DiscreteMeasure's invariants as it is: sorted distinct
-    # atoms, positive weights whose exact sum lies within 1e-12 of 1.
-    mu = object.__new__(DiscreteMeasure)
-    object.__setattr__(mu, "atoms", _frozen(atoms_arr))
-    object.__setattr__(mu, "weights", _frozen(weights_arr))
-    return mu
+        weights_arr = weights_arr / merged_total
+    # The pair meets DiscreteMeasure's invariants: sorted distinct atoms and
+    # positive weights whose exact sum lies within 1e-12 of 1.  Divided by
+    # that sum, which is within about 1e-9 of 1, they stay positive and sum
+    # to 1 within about 2^-52.
+    return _trusted(DiscreteMeasure, atoms=atoms_arr, weights=weights_arr)
 
 
 def make_sample(values: Sequence[float],
@@ -292,7 +300,9 @@ def make_sample(values: Sequence[float],
         if np.any(w <= 0):
             bad = int(np.flatnonzero(w <= 0)[0])
             raise MeasureError(f"weights[{bad}] must be positive, got {w[bad].item()!r}")
-    return EmpiricalSample(v, w / _total_mass(w, "weights"))
+    # EmpiricalSample's invariants hold: positive weights divided by their
+    # exact sum, within 1e-9 of 1, stay positive and sum to 1 within 2^-52.
+    return _trusted(EmpiricalSample, values=v, weights=w / _total_mass(w, "weights"))
 
 
 def law_of(sample: EmpiricalSample) -> DiscreteMeasure:
@@ -438,22 +448,24 @@ def _partials(terms: list[float]) -> list[float]:
     return partials
 
 
-def _exact_parts(terms, count: int | None = None) -> list[float] | None:
+def _exact_parts(terms, count: int | None = None,
+                 scratch: np.ndarray | None = None) -> list[float] | None:
     """:func:`_partials` of the exact sum of the float array ``terms``; None
     where a term is not finite or the terms come near overflow
-    (:func:`_in_range`).  ``count`` is the number of terms in the whole sum
-    when ``terms`` is only one part of it; it defaults to their number.
+    (:func:`_in_range`).  ``count`` and ``scratch`` are as for
+    :func:`_split_sum`.
 
     Rounds of :func:`_extract` split the rests again until they are zero,
     each sigma at most 2^(bitlen(n + 2) - 52) times the last.  Once sigma is
     at most 2^-1021, t + sigma stays below 2^-1021, where floats are spaced
     2^-1074, so it is exact, q = t and the rests are zero."""
     terms = np.asarray(terms, dtype=float).ravel()
-    top = float(np.maximum.reduce(np.abs(terms), initial=0.0))
+    rest = np.empty(terms.size) if scratch is None else scratch[:terms.size]
+    top = float(np.maximum.reduce(np.abs(terms, out=rest), initial=0.0))
     if not _in_range(top, terms.size if count is None else count):
         return None
     parts = []
-    rest, spare = np.empty(terms.size), np.empty(terms.size)
+    spare = np.empty(terms.size)
     while top:
         parts.append(_extract(terms, top, rest)[0])
         # The rests are the next terms, and the other buffer takes theirs.
@@ -504,24 +516,43 @@ def _certified_sum(parts: list[tuple[float, float, float]]) -> float | None:
     return lo if lo == math.fsum(estimate + errs) else None
 
 
-def _exact_sum(terms) -> float:
-    """``math.fsum`` of an array of terms, bit for bit, or NaN where fsum
-    raises: the terms hold both +inf and -inf, or a partial sum overflows.
+def _cascade(parts_of, every_term) -> float:
+    """``math.fsum`` over the terms of a sum given in parts, bit for bit, or
+    NaN where fsum raises: the terms hold both +inf and -inf, or a partial
+    sum overflows.
 
-    The certified split sum answers first (:func:`_certified_sum`).  Where
-    it cannot decide the rounding, fsum over the parts of
-    :func:`_exact_parts` gives the sum.  Only where a term is not finite or
-    the terms come near the overflow threshold does fsum run over the terms
-    themselves."""
-    terms = np.asarray(terms, dtype=float).ravel()
-    part = _split_sum(terms)
-    total = None if part is None else _certified_sum([part])
+    ``parts_of(reduce)`` lists ``reduce(terms, count, scratch)`` for each
+    part, ``count`` being the number of terms in the whole sum; it is None,
+    or holds a None, where a part declines.  The certified split sums
+    (:func:`_split_sum`, :func:`_certified_sum`) answer first.  Where they
+    cannot decide the rounding, fsum over :func:`_exact_partials` gives the
+    sum.  Only where a term is not finite or the terms come near the
+    overflow threshold does fsum run over the list ``every_term()``."""
+    parts = parts_of(_split_sum)
+    total = None if parts is None or None in parts else _certified_sum(parts)
     if total is not None:
         return total
-    partials = _exact_parts(terms)
+    partials = _exact_partials(parts_of)
     if partials is not None:
         return math.fsum(partials)
-    return _fsum_or_nan(terms.tolist())
+    return _fsum_or_nan(every_term())
+
+
+def _exact_partials(parts_of) -> list[float] | None:
+    """:func:`_partials` of the exact sum of the terms whose parts
+    ``parts_of`` lists (:func:`_cascade`), by way of :func:`_exact_parts`;
+    None where a part declines."""
+    parts = parts_of(_exact_parts)
+    if parts is None or None in parts:
+        return None
+    return _partials([p for part in parts for p in part])
+
+
+def _exact_sum(terms) -> float:
+    """``math.fsum`` of an array of terms, bit for bit, or NaN where fsum
+    raises: :func:`_cascade` over the terms as one part."""
+    terms = np.asarray(terms, dtype=float).ravel()
+    return _cascade(lambda reduce: [reduce(terms, terms.size, None)], terms.tolist)
 
 
 def _fsum_or_nan(terms: list[float]) -> float:

@@ -249,14 +249,16 @@ def check_structure(f: Functional, sample: EmpiricalSample,
 
 
 def _halve_weight(sample: EmpiricalSample, k: int) -> EmpiricalSample:
-    # Exact split: w/2 + w/2 == w bit for bit, so the regrouped law -- and
-    # everything downstream -- must be bitwise unchanged.
-    values = np.append(sample.values, sample.values[k])
-    weights = np.array(sample.weights)
-    half = weights[k] * 0.5
-    weights[k] = half
-    weights = np.append(weights, half)
-    return EmpiricalSample(values, weights)
+    # Exact split: w/2 + (w - w/2) == w bit for bit, so the regrouped law --
+    # and everything downstream -- must be bitwise unchanged.  w/2 rounds
+    # only for a subnormal w, and 2^-1074, which it rounds to 0, has no
+    # split into two positive floats: that sample stays as it is.
+    half = sample.weights[k] * 0.5
+    if half == 0.0:
+        return sample
+    weights = np.append(sample.weights, half)
+    weights[k] -= half
+    return EmpiricalSample(np.append(sample.values, sample.values[k]), weights)
 
 
 def _estimate_gap(a: DerivativeEstimate, b: DerivativeEstimate) -> float:
@@ -331,7 +333,7 @@ def check_mass_linearity(f: Functional, est: DerivativeEstimate, i: int,
     estimates).  Discrepancy is the worst criterion ratio; tolerance 1.  A
     failed probe reads as NaN, and so does an atom the estimate flags, so
     the check fails.  Raises :class:`EstimatorError` where ``i`` is not an
-    atom index of ``est.law``.
+    atom index of ``est.law`` or a fraction lies outside (0, 1].
     """
     mu = est.law
     i = _check_index(mu, i)
@@ -398,8 +400,11 @@ def _oracle_tolerance(f: Functional, est: DerivativeEstimate) -> tuple[float, st
             lo = float(est.grid_atoms.min())
             hi = float(est.grid_atoms.max())
             steps = est.schedule.steps(at=float(np.max([abs(lo), abs(hi), 1.0])))
-            bound = (1.5 * steps[-1] ** 2
-                     * d3.max_abs_on(lo - steps[0], hi + steps[0]) / 6.0)
+            try:
+                square = steps[-1] ** 2
+            except OverflowError:  # a float power raises past the float range
+                square = math.inf
+            bound = 1.5 * square * d3.max_abs_on(lo - steps[0], hi + steps[0]) / 6.0
             return float(np.maximum(bound, 1e-12)), "central Taylor remainder bound, 50% slack"
     finite = est.error_estimates[np.isfinite(est.error_estimates)]
     fallback = float(np.maximum(1e-6, 4.0 * float(finite.max(initial=0.0))))

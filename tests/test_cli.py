@@ -616,6 +616,31 @@ def test_verify_fails_probes_that_move_a_value_past_the_float_range(workdir):
     assert report["checks"][0]["status"] == "fail"
 
 
+def test_verify_oracle_whose_taylor_bound_overflows_exits_4_with_strict_json(workdir):
+    # A cubic phi in central mode with an atom beyond about 1.3e163: the
+    # smallest step squared is past the float range, so the bound is inf.
+    inp = write(workdir / "s.csv", "1e300\n1e16\n1.0\n")
+    proc = run_cli("verify", "--input", inp, "--functional",
+                   '{"name":"linear","phi":[0,1,0,1]}', "--level", "2", "--out", "v.json")
+    assert (proc.returncode, proc.stderr) == (4, "")
+    report = json.loads((workdir / "v.json").read_text(), parse_constant=_reject_constant)
+    oracle = report["checks"][-1]
+    assert oracle["name"] == "oracle_comparison"
+    assert (oracle["status"], oracle["tolerance"]) == ("fail", None)
+
+
+def test_verify_law_invariance_on_the_smallest_weight(workdir):
+    # 2^-1074 has no split into two positive floats: the weight-split
+    # transform leaves it whole instead of failing as an input error.
+    inp = write(workdir / "s.csv", "0.0,1.0\n0.5,5e-324\n")
+    proc = run_cli("verify", "--input", inp, "--functional", '{"name":"variance"}',
+                   "--level", "2", "--out", "v.json")
+    assert proc.stderr == "" and proc.returncode in (0, 4)
+    report = json.loads((workdir / "v.json").read_text(), parse_constant=_reject_constant)
+    invariance = next(c for c in report["checks"] if c["name"] == "law_invariance")
+    assert (invariance["status"], invariance["discrepancy"]) == ("pass", 0.0)
+
+
 def test_verify_oracle_without_a_finite_third_derivative(workdir):
     # phi = 1e306 x^10 has a finite derivative, but the Taylor bound needs
     # the third one, 720e306 x^7, which overflows: the generic rule applies.

@@ -11,6 +11,7 @@ Oracle checklist:
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,17 @@ def test_interaction_grid_memory_stays_far_below_one_lines_array_for_all_probes(
         tracemalloc.stop()
     assert est.n_atoms == 600 and est.failed_atoms == ()
     assert peak < 1200 * 1200 * 8 / 4
+
+
+def test_grid_flags_an_underflowing_atom_without_dividing_by_zero():
+    # 1.5e-323 times every level-2 step underflows to 0, and the shift
+    # evaluator has the atom's probe values: the failed row's quotients are
+    # dropped without a divide-by-zero warning.
+    sample = make_sample([0.0, 0.5], [1.0, 1.5e-323])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = lions_derivative_grid(VARIANCE, sample, 2)
+    assert est.failed_atoms == (1,)
 
 
 def test_grid_flags_non_finite_extrapolation_per_atom():

@@ -11,6 +11,7 @@ Oracle checklist:
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -178,6 +179,31 @@ def test_sample_validation():
         make_sample([0.0, 1.0], [0.5, 0.0 - 0.5])
     with pytest.raises(MeasureError):
         make_sample([0.0], [2.0])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_make_sample_builds_its_sample_once(weighted):
+    # The sample holds the arrays make_sample checked and normalized: no
+    # copy of them and no second sum for EmpiricalSample's checks.
+    rng = np.random.default_rng(24)
+    values = rng.normal(size=100_000)
+    raw = rng.uniform(0.5, 1.0, values.size)
+    weights = raw / math.fsum(raw.tolist()) if weighted else None
+    tracemalloc.start()
+    try:
+        sample = make_sample(values, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * values.nbytes
+    w = weights if weighted else np.full(values.size, 1.0 / values.size)
+    want = EmpiricalSample(values, w / math.fsum(w.tolist()))
+    assert sample.values.tobytes() == want.values.tobytes()
+    assert sample.weights.tobytes() == want.weights.tobytes()
+    for arr in (sample.values, sample.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert values.flags.writeable  # the caller's array is not the sample's
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from lionsderiv import (
     refine_until_converged,
     wasserstein2,
 )
-from lionsderiv import functionals, measure
+from lionsderiv import measure
 from lionsderiv.estimator import STEP_FLOOR, _mass_moved
 from lionsderiv.functionals import _resums
 from lionsderiv.measure import (_certified_sum, _exact_parts, _exact_sum, _split_sum,
@@ -512,19 +512,23 @@ def test_vectorised_merge_matches_loop(pairs):
 
 
 @st.composite
-def distinct_atoms(draw):
-    """Distinct atoms with weights that sum to 1 within rounding, at times
-    all equal."""
-    atoms = draw(st.lists(st.one_of(finite_values, wide_values), min_size=1, max_size=12,
-                          unique=True))
+def atom_lists(draw):
+    """Atoms, distinct or at times drawn from a few values so that some
+    merge, with weights that sum to 1 within rounding, at times all equal."""
+    atoms = draw(st.one_of(
+        st.lists(st.one_of(finite_values, wide_values), min_size=1, max_size=12, unique=True),
+        st.lists(st.sampled_from([-1e300, -0.5, 0.0, 0.375, 3.0]), min_size=1, max_size=12)))
     raw = draw(st.one_of(st.lists(raw_weights, min_size=len(atoms), max_size=len(atoms)),
                          raw_weights.map(lambda r: [r] * len(atoms))))
     return atoms, [r / math.fsum(raw) for r in raw]
 
 
-@given(distinct_atoms())
+@given(atom_lists())
 @example(([1.0, 0.0, 2.0], [1 / 3] * 3))
 @example(([1.0, 0.0], [0.5, 0.5 + 2e-10]))  # renormalized
+@example(([0.0, 0.0, 1.0, 1.0, 2.0],  # merges round: renormalized
+          [0.19034218292452224, 0.35205778307801294, 0.18469247567713593,
+           0.24083819399326362, 0.032069364327065246]))
 @settings(max_examples=examples(200), deadline=None)
 def test_make_measure_of_distinct_atoms_is_the_validated_measure(case):
     atoms, weights = case
@@ -532,6 +536,8 @@ def test_make_measure_of_distinct_atoms_is_the_validated_measure(case):
     want = DiscreteMeasure(*_loop_make_measure(np.array(atoms), np.array(weights)))
     assert _bits(got.atoms) == _bits(want.atoms)
     assert _bits(got.weights) == _bits(want.weights)
+    checked = DiscreteMeasure(got.atoms, got.weights)  # meets every invariant
+    assert _bits(checked.weights) == _bits(got.weights)
     for arr in (got.atoms, got.weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.5
@@ -591,7 +597,7 @@ def _fsum_or_nan(terms):
 
 
 @given(term_arrays())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_exact_sum_is_fsum_or_nan_bit_for_bit(terms):
     want = _fsum_or_nan(terms.tolist())
     assert _bits(_exact_sum(terms)) == _bits(want)
@@ -624,7 +630,7 @@ def _reference_partials(terms, count=None):
 
 
 @given(term_arrays(), st.one_of(st.none(), st.integers(1, 2 ** 40)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_exact_parts_are_the_partials_of_fsum(terms, extra):
     count = None if extra is None else terms.size + extra
     assert _exact_parts(terms, count) == _reference_partials(terms, count)
@@ -793,18 +799,27 @@ def wide_measures(draw, max_size=9):
     return make_measure(atoms, [r / total for r in raw])
 
 
-def _record_certificates(monkeypatch):
-    """Per ``interaction`` evaluation from here on, whether the certified
-    split sum answered (True) or the exact parts did (False)."""
-    answered = []
+def _calls_inside(f, mu, name):
+    """f(mu), and (arguments, result) of each call of ``measure.<name>``
+    during it, and only then."""
+    calls = []
+    real = getattr(measure, name)
 
-    def certified_sum(parts):
-        total = measure._certified_sum(parts)
-        answered.append(total is not None)
-        return total
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(functionals, "_certified_sum", certified_sum)
-    return answered
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measure, name, recorded)
+        value = f(mu)
+    return value, calls
+
+
+def _certificates(f, mu):
+    """f(mu), and per certificate that evaluation asked for, whether the
+    certified split sum answered (True) or the exact parts did (False)."""
+    value, calls = _calls_inside(f, mu, "_certified_sum")
+    return value, [total is not None for _, total in calls]
 
 
 HALF_HALF = make_measure([0.0, 1.0], [0.5, 0.5])
@@ -842,44 +857,38 @@ def _seeded_measure(n_atoms, equal_weights=False):
 @pytest.mark.parametrize("equal_weights", [False, True])
 @pytest.mark.parametrize("coeffs", [[0, 0, 0.5], [0, 1, 0, -0.25], [0.1, 0.2, 0.5]])
 def test_interaction_over_many_pair_blocks_is_fsum_over_the_full_matrix(
-        coeffs, equal_weights, n_atoms, monkeypatch):
-    answered = _record_certificates(monkeypatch)
+        coeffs, equal_weights, n_atoms):
     mu = _seeded_measure(n_atoms, equal_weights)
     assert np.all(mu.weights == mu.weights[0]) == equal_weights
-    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
+    value, answered = _certificates(make_interaction(coeffs), mu)
+    assert _bits(value) == _bits(_reference_interaction(coeffs, mu))
     assert answered == [True]
 
 
 @pytest.mark.parametrize("n_atoms", [2, 33, 600, 601])
 @pytest.mark.parametrize("equal_weights", [False, True])
 def test_interaction_of_an_odd_kernel_split_sums_only_the_diagonal(
-        n_atoms, equal_weights, monkeypatch):
+        n_atoms, equal_weights):
     # Each pair's swapped term cancels its term, so a block of pair terms
     # needs only the check that its terms are finite and far from overflow.
-    sizes = []
-
-    def split_sum(terms, *args):
-        sizes.append(terms.size)
-        return measure._split_sum(terms, *args)
-
-    monkeypatch.setattr(functionals, "_split_sum", split_sum)
     mu = _seeded_measure(n_atoms, equal_weights)
     coeffs = [0, 1, 0, -0.25]
-    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
-    assert sizes == [n_atoms]
+    value, calls = _calls_inside(make_interaction(coeffs), mu, "_split_sum")
+    assert _bits(value) == _bits(_reference_interaction(coeffs, mu))
+    assert [terms.size for (terms, *_), _ in calls] == [n_atoms]
 
 
 @pytest.mark.parametrize("n_atoms", [2, 33, 600, 601])
 @pytest.mark.parametrize("odd", [0.0, 1e-3])
 def test_interaction_where_the_certificate_declines_is_fsum_over_the_full_matrix(
-        n_atoms, odd, monkeypatch):
+        n_atoms, odd):
     # w(u) = u^2 / 2 + odd * u - Var(mu): the M x M terms sum to about 0,
     # far below the bound on the split sums' error, so the exact parts
     # decide the rounding.
-    answered = _record_certificates(monkeypatch)
     mu = _seeded_measure(n_atoms)
     coeffs = [-make_variance()(mu), odd, 0.5]
-    assert _bits(make_interaction(coeffs)(mu)) == _bits(_reference_interaction(coeffs, mu))
+    value, answered = _certificates(make_interaction(coeffs), mu)
+    assert _bits(value) == _bits(_reference_interaction(coeffs, mu))
     assert answered == [False]
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ def test_law_invariance_bitwise_zero():
     assert report.tolerance == 0.0
     kinds = {c["kind"] for c in report.cases}
     assert kinds == {"permutation", "weight_split"}
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1.5e-323])
+def test_law_invariance_splits_a_subnormal_weight_exactly(tiny):
+    # w * 0.5 rounds for an odd multiple of 2^-1074, and is 0 for 2^-1074
+    # itself: the split keeps w - w * 0.5 for the second part, and leaves a
+    # weight it cannot split in two positive floats whole.
+    sample = make_sample([0.0, 0.5], [1.0, tiny])
+    split = verify._halve_weight(sample, 1)
+    assert law_of(split).weights.tobytes() == law_of(sample).weights.tobytes()
+    est = lions_derivative_grid(VARIANCE, sample, 2)
+    report = check_law_invariance(VARIANCE, sample, est, transforms=4, seed=0)
+    assert {c["split_index"] for c in report.cases if "split_index" in c} == {0, 1}
+    assert (report.status, report.discrepancy) == ("pass", 0.0)
 
 
 @pytest.mark.parametrize("transforms", [0, -5])
@@ -364,6 +379,23 @@ def test_oracle_cubic_taylor_bound():
     eps_min = sched.steps(at=1.0)[-1]
     assert report.tolerance <= 1.5 * eps_min ** 2 * 1.2  # phi''' = 6, bound ~ eps^2
     assert report.details["sup_error"] <= report.tolerance
+
+
+@pytest.mark.parametrize("values, level", [
+    ([1e300, 1e16, 1.0], 2),  # the smallest step, about 1e291, squared
+    ([7.976931188623159e+307, -1e+308], 0),  # and the width of the interval
+])
+def test_oracle_bound_past_the_float_range_fails_the_comparison(values, level):
+    # Near 1e300 the cancellation floor raises the smallest step so far that
+    # the Taylor bound is past the float range: the comparison fails with a
+    # tolerance that is not finite, without OverflowError or a warning.
+    f = make_linear([0, 1, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_against_oracle(f, lions_derivative_grid(f, make_sample(values), level))
+    assert report.status == "fail"
+    assert not math.isfinite(report.tolerance)
+    assert report.details["tolerance_rule"].startswith("central Taylor")
 
 
 def test_oracle_mean_square_constant_g():
