@@ -383,8 +383,9 @@ def make_interaction(w: PotentialSpec | tuple[float, ...] | list[float]) -> Func
                         return None
                     continue
                 part = reduce(terms, count, scratch)
-                parts += (part, part if even else reduce(
-                    block(products, np.negative(gaps, out=gaps)), count, scratch))
+                swapped = part if even else reduce(
+                    block(products, np.negative(gaps, out=gaps)), count, scratch)
+                parts += (part, swapped)
         return parts
 
     def evaluate(mu: DiscreteMeasure) -> float:
