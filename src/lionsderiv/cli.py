@@ -165,6 +165,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     levels = pick(args.levels, "levels")
     if args.command == "estimate" and level is not None and levels is not None:
         raise ConfigError("estimate takes either `level` or `levels`, not both")
+    if args.command == "study" and level is not None:
+        raise ConfigError("study takes `levels`, not `level`")
+    if args.command == "verify" and levels is not None:
+        raise ConfigError("verify takes `level`, not `levels`")
 
     tol = _require_number(pick(args.tol, "tol"), "tol")
     tol = DEFAULT_TOL if tol is None else tol

@@ -106,81 +106,64 @@ def _map_tasks(task: Callable[[int], Sequence[float]], n: int,
 
     The tasks run in k = min(n, usable CPUs) contiguous shares, in order
     within each; a platform without ``os.fork`` or ``os.sched_getaffinity``
-    has one usable CPU.  This process runs share 0; each other share runs in a
-    forked child, which sends each result as raw float64 bytes through a
-    pipe, so the values are bit for bit those of a plain loop.  For a share
-    whose child fails, cannot be forked or sends fewer results, this process
-    runs the missing tasks itself, lowest first: a task that raises raises
-    here, and since every earlier task succeeded, it is the error the plain
-    loop would raise.  Every child is reaped before this returns or raises.
+    has one usable CPU.  The results go to row i of one (n, width + 1)
+    table in memory shared with forked children, so the values are bit for
+    bit those of a plain loop.  A row is marked once it is whole: its last
+    column is set to 1 after its ``width`` values.  This process runs share
+    0; each other share runs in a forked child.  Once every child is reaped,
+    this process runs each task whose row is unmarked, lowest first -- the
+    rest of a share whose child failed, could not be forked or was killed:
+    a task that raises raises here, and since every earlier task succeeded,
+    it is the error the plain loop would raise.  Every child is reaped
+    before this returns or raises.
     """
+    import mmap  # imported only here: importing the package never needs it
+
     usable = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
     k = min(n, usable)
     shares = [range(n * s // k, n * (s + 1) // k) for s in range(k)]
-    out = np.empty((n, width))
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    table = np.frombuffer(mmap.mmap(-1, n * (width + 1) * 8)).reshape(n, width + 1)
+
+    def run(tasks: Iterable[int]) -> None:
+        for i in tasks:
+            table[i, :width] = task(i)
+            table[i, width] = 1.0
+
+    children: list[int] = []
     try:
         for share in shares[1:]:
             try:
-                children.append(_fork_share(task, share))
-            except OSError:  # no process or pipe to spare: run the rest here
+                pid = os.fork()
+            except OSError:  # no process to spare: run the rest here
                 break
-        for s, share in enumerate(shares):
-            done = 0
-            if 0 < s <= len(children):  # share s runs in children[s - 1]
-                with open(children[s - 1][1], "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                done = min(len(data) // out[0].nbytes, len(share))
-                out[share.start:share.start + done] = np.frombuffer(
-                    data, count=done * width).reshape(done, width)
-            for i in share[done:]:
-                out[i] = task(i)
+            if pid == 0:
+                try:
+                    run(share)
+                finally:
+                    # Never return into the caller's stack; os._exit flushes
+                    # no buffer the parent also holds.  The marks, not the
+                    # exit status, say which rows are whole.
+                    os._exit(0)
+            children.append(pid)
+        run(shares[0])
     except BaseException:
         from signal import SIGKILL  # imported only here: a plain run never needs it
 
-        for pid, _ in children:
+        for pid in children:
             try:
                 os.kill(pid, SIGKILL)
             except ProcessLookupError:  # SIGCHLD is ignored: the system reaped it
                 pass
         raise
     finally:
-        for pid, fd in children:
-            os.close(fd)
+        for pid in children:
             try:
                 os.waitpid(pid, 0)
             except ChildProcessError:  # SIGCHLD is ignored: the system reaped it
                 pass
-    return out
-
-
-def _fork_share(task: Callable[[int], Sequence[float]],
-                share: range) -> tuple[int, int]:
-    """Fork a child that writes ``task(i)`` for each i of ``share`` to a
-    pipe and exits; (its pid, the read end)."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            for i in share:
-                row = memoryview(np.asarray(task(i), dtype=float).tobytes())
-                while row:
-                    row = row[os.write(write_end, row):]
-            code = 0
-        finally:
-            # Never return into the caller's stack; os._exit flushes no
-            # buffer the parent also holds.
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
+    run([i for i in range(n) if table[i, width] == 0.0])
+    return table[:, :width].copy()
 
 
 def check_structure(f: Functional, sample: EmpiricalSample,

@@ -382,6 +382,27 @@ def test_estimate_rejects_level_and_levels_together(workdir, capsys):
                  '{"name":"variance"}', "--level", "3", "--levels", "2..5"]) == 2
 
 
+@pytest.mark.parametrize("command, flags, config", [
+    ("study", ["--level", "3"], None),
+    ("study", [], '{"level": 3}'),
+    ("verify", ["--levels", "2..3"], None),
+    ("verify", [], '{"levels": [2, 3]}'),
+])
+def test_a_level_setting_the_command_does_not_read_exits_2(workdir, capsys, command,
+                                                             flags, config):
+    # study reads only `levels` and verify only `level`: the other one would
+    # be silently dropped, and the run would use its default levels.
+    inp = write(workdir / "s.csv", "0.0\n0.5\n1.0\n")
+    argv = [command, "--input", inp, "--functional", '{"name":"variance"}',
+            "--out", "out", *flags]
+    if config is not None:
+        argv += ["--config", write(workdir / "cfg.json", config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lionsderiv: config error: ") and err.count("\n") == 1
+    assert not (workdir / "out").exists()  # refused before any work
+
+
 @pytest.mark.parametrize("levels", [["--level", "1030"], ["--level", "1080"],
                                     ["--levels", "2..1080"]])
 def test_level_beyond_float_range_exits_2(workdir, capsys, levels):

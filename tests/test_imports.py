@@ -116,7 +116,6 @@ def _builtin_folds(source: str) -> list[str]:
 # The builtin folds verify.py may make: each folds integers.
 INTEGER_FOLDS = {
     "min(n, usable)",
-    "min(len(data) // out[0].nbytes, len(share))",
 }
 
 

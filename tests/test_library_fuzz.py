@@ -7,10 +7,12 @@ return, or raise one of the errors its documentation names.  A numpy
 warning that escapes an errstate block fails the property too.
 """
 
+import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from lionsderiv import (
     DiscreteMeasure,
     EmpiricalSample,
     EstimatorError,
+    Functional,
     MeasureError,
     NoClosedFormError,
     ProbeFailureError,
@@ -43,8 +46,10 @@ from lionsderiv import (
     partial_mass_perturbation,
     read_sample_file,
     refine_until_converged,
+    register,
     wasserstein2,
 )
+from lionsderiv import functionals
 
 from conftest import examples
 
@@ -62,6 +67,29 @@ extreme_weights = st.one_of(
 # out of its range, the call names the error it raises.
 any_number = st.one_of(st.floats(), st.integers(-4, 4),
                        st.sampled_from([0.125, 0.5, 1.0, 1e-160, 1e-9, 1e300]))
+schedules = st.fixed_dictionaries({
+    "eps0": any_number, "ratio": any_number, "count": st.integers(0, 6),
+    "mode": st.sampled_from(["central", "one_sided", "backward"])})
+
+
+def make_sin_sum():
+    """A user functional: the exact sum of w * sin(x) over the atoms.  It
+    has no shift evaluator and no closed form, so every probe of it is a
+    whole moved measure (``_mass_moved`` and ``make_measure``)."""
+    return Functional(name="sin_sum", params={},
+                      evaluate=lambda mu: math.fsum(mu.weights * np.sin(mu.atoms)))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _sin_sum_registered():
+    """``sin_sum`` registered as a user registers a family, on a copy of the
+    name -> factory table that is restored after this module."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(functionals, "_FACTORIES", dict(functionals._FACTORIES))
+        register("sin_sum", make_sin_sum)
+        yield
+
+
 FUNCTIONALS = (
     {"name": "variance"},
     {"name": "mean_square"},
@@ -70,6 +98,7 @@ FUNCTIONALS = (
     {"name": "interaction", "w": [0, 0, 0.5]},
     {"name": "interaction", "w": [0, 1, 0, -0.25]},
     {"name": "interaction", "w": [1e300, -1e300, 1e300]},
+    {"name": "sin_sum"},
 )
 
 
@@ -82,14 +111,19 @@ def _outcome(errors, call, *args, **kwargs):
         return None
 
 
+def _weights(values, weights, weighted):
+    """``weights`` repeated to one per value, and their normalized copy
+    where the sample is ``weighted`` (else None)."""
+    weights = (weights * len(values))[:len(values)]
+    total = math.fsum(weights)
+    return weights, ([w / total for w in weights] if weighted else None)
+
+
 @given(values=st.lists(extreme_values, min_size=1, max_size=6),
        weights=st.lists(extreme_weights, min_size=1, max_size=6),
        weighted=st.booleans(),
        config=st.sampled_from(FUNCTIONALS),
-       level=st.integers(-2, 1025),
-       schedule=st.fixed_dictionaries({
-           "eps0": any_number, "ratio": any_number, "count": st.integers(0, 6),
-           "mode": st.sampled_from(["central", "one_sided", "backward"])}),
+       level=st.integers(-2, 1025), schedule=schedules,
        fraction=any_number, index=st.integers(-2, 7),
        direction=st.lists(st.one_of(extreme_values, st.just(math.inf)), min_size=1,
                           max_size=7),
@@ -105,9 +139,7 @@ def test_every_library_call_returns_or_raises_a_documented_error(
         values, weights, weighted, config, level, schedule, fraction, index, direction,
         points, tol, seed):
     f = functional_from_config(config)
-    weights = (weights * len(values))[:len(values)]
-    total = math.fsum(weights)
-    raw = [w / total for w in weights] if weighted else None
+    weights, raw = _weights(values, weights, weighted)
 
     # measure
     _outcome(MeasureError, make_measure, values, weights)
@@ -153,3 +185,45 @@ def test_every_library_call_returns_or_raises_a_documented_error(
     _outcome(EstimatorError, check_mass_linearity, f, est, index, (fraction, 1.0))
     _outcome(NoClosedFormError, check_against_oracle, f, est)
     _outcome(MeasureError, convergence_study, f, sample, (level, level + 1), **fields)
+
+
+def _on_cpus(cpus, run):
+    """``run()`` with ``cpus`` usable CPUs; no child process outlives it."""
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            return run()
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@given(values=st.lists(extreme_values, min_size=1, max_size=6),
+       weights=st.lists(extreme_weights, min_size=1, max_size=6),
+       weighted=st.booleans(), config=st.sampled_from(FUNCTIONALS),
+       level=st.integers(0, 1023), schedule=schedules,
+       directions=st.integers(2, 5), transforms=st.integers(2, 4),
+       cpus=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=examples(100), deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_checks_on_several_cpus_write_the_one_cpu_reports(
+        values, weights, weighted, config, level, schedule, directions, transforms, cpus,
+        seed):
+    # check_structure and check_law_invariance split their cases into
+    # shares that forked children run; the reports must not show it.
+    f = functional_from_config(config)
+    sample = _outcome(MeasureError, make_sample, values,
+                      _weights(values, weights, weighted)[1])
+    if sample is None:
+        return
+    steps = _outcome(EstimatorError, StepSchedule, **schedule)
+    est = _outcome(MeasureError, lions_derivative_grid, f, sample, level, steps)
+    if est is None:
+        return
+
+    def reports():
+        return [json.dumps(r.to_dict()) for r in (
+            check_structure(f, sample, est, directions=directions, seed=seed),
+            check_law_invariance(f, sample, est, transforms=transforms, seed=seed))]
+
+    assert _on_cpus(cpus, reports) == _on_cpus(1, reports)

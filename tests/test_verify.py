@@ -1,6 +1,7 @@
 """Property checks: structure identity, law invariance, mass linearity,
 oracle comparison, convergence study."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -573,6 +574,43 @@ def test_a_share_whose_child_dies_or_cannot_start_runs_here(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     assert _on_cpus(monkeypatch, 3, lambda: _both_reports(
         f, sample, level, schedule, seed)) == want
+
+
+def _counting_variance(stop_after=None):
+    """The variance, and its calls per process; a forked child exits once
+    it has made ``stop_after`` calls."""
+    parent, calls = os.getpid(), collections.Counter()
+
+    def evaluate(mu):
+        pid = os.getpid()
+        if pid != parent and calls[pid] == stop_after:
+            os._exit(0)
+        calls[pid] += 1
+        return VARIANCE(mu)
+
+    return Functional(name="variance", params={}, evaluate=evaluate), calls
+
+
+# 7 tasks on 3 CPUs run in shares of 2 (here), 2 and 3 (forked children).
+# A child that stops after `rows` rows leaves the rest of its share to this
+# process: 1 + 2 tasks, or 0 + 1.
+@pytest.mark.parametrize("rows, here", [(1, 2 + 3), (2, 2 + 1)])
+@pytest.mark.parametrize("check", ["structure", "law_invariance"])
+def test_a_child_that_stops_partway_leaves_only_its_unmarked_rows(monkeypatch, check,
+                                                                  rows, here):
+    _, sample, level, schedule, seed = CPU_CASES["variance"]
+    est = lions_derivative_grid(VARIANCE, sample, level, schedule)
+    run = {"structure": lambda f: check_structure(f, sample, est, directions=7, seed=seed),
+           "law_invariance": lambda f: check_law_invariance(f, sample, est, transforms=7,
+                                                            seed=seed)}[check]
+    f, calls = _counting_variance()
+    want = _on_cpus(monkeypatch, 1, lambda: json.dumps(run(f).to_dict()))
+    per_task, rest = divmod(calls[os.getpid()], 7)
+    assert rest == 0
+
+    f, calls = _counting_variance(stop_after=rows * per_task)
+    assert _on_cpus(monkeypatch, 3, lambda: json.dumps(run(f).to_dict())) == want
+    assert calls[os.getpid()] == here * per_task
 
 
 def test_sigchld_ignored_changes_no_report_and_no_error(monkeypatch):
